@@ -71,8 +71,8 @@ class BenchmarkSelfTest(unittest.TestCase):
                 p99 = [l for l in lines if l.startswith("metric p99_ms.")]
                 self.assertEqual(len(p99), 2)
                 for line in p99:
-                    self.assertRegex(line, r"\(n=\d+, median of \d+ window "
-                                           r"p99s, \d+ beyond each\)")
+                    self.assertRegex(line, r"\(n=\d+, lower decile of \d+ "
+                                           r"window p99s, \d+ beyond each; ")
 
     def test_traced_schema_matches_benchmark_json(self):
         proc, lines = bench_run("--workload", "anneal", "--seed", "3",
@@ -103,43 +103,57 @@ class BenchmarkSelfTest(unittest.TestCase):
                         "--out", str(SCRATCH / "stall-report")],
                        check=True, capture_output=True)
 
-        # A server that answers instantly, except that it sits on one
-        # request of the measured low phase for 0.7 s.
-        warmup, rate, stall_at, stall_s = 0.2, 100.0, 30, 0.7
+        # A server that answers instantly on every connection, except
+        # that it stalls all of them for 0.8 s on the first request of
+        # the measured low-rate segments.
+        warmup, rate, stall_s = 0.2, 100.0, 0.8
+        stall_at = round(warmup * rate) + 1
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen()
         port = listener.getsockname()[1]
+        stall = threading.Lock()
+        seen = [0]
 
-        def serve():
-            conn, _ = listener.accept()
-            seen = 0
+        def session(conn):
             with conn, conn.makefile("rb") as lines:
                 for line in lines:
-                    seen += 1
-                    if seen == stall_at:
-                        threading.Event().wait(stall_s)
+                    with stall:
+                        seen[0] += 1
+                        if seen[0] == stall_at:
+                            threading.Event().wait(stall_s)
                     kind = line.split()[0].decode()
                     conn.sendall(f"OK {kind} lines=1\nx\nEND\n".encode())
 
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
+        def accept():
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                threading.Thread(target=session, args=(conn,),
+                                 daemon=True).start()
+
+        threading.Thread(target=accept, daemon=True).start()
+        # Four rounds of 0.1 s low, 0.1 s high and 0.05 s pareto: the
+        # stall covers rounds 1-3, so most low-rate requests fall due
+        # while every connection is held.
         proc = subprocess.run(
             [str(self.bin / "perfbench_tool"), "load", "--port", str(port),
-             "--run-dir", str(run_dir), "--conns", "1", "--low-rate",
-             str(rate), "--high-rate", str(rate), "--low-seconds", "1",
-             "--high-seconds", "1", "--rounds", "1",
-             "--warmup-seconds", str(warmup), "--pareto-seconds", "0.2",
-             "--pareto-rate", "5", "--timeout-ms", "5000"],
+             "--run-dir", str(run_dir), "--low-rate", str(rate),
+             "--high-rate", str(rate), "--low-seconds", "0.4",
+             "--high-seconds", "0.4", "--warmup-seconds", str(warmup),
+             "--pareto-seconds", "0.2", "--pareto-rate", "10"],
             capture_output=True, text=True, timeout=60)
         listener.close()
         self.assertEqual(proc.returncode, 0, proc.stderr)
         low = json.loads(proc.stdout.strip().splitlines()[-1])["low"]
         summary = low["interactive"]
-        self.assertEqual(summary["count"], 100)
-        # Only one request sat in the server; the ~70 due behind it waited
-        # in the generator.  Timed from their due time, most of the phase
-        # is slow: the median itself sits in the backlog.
+        self.assertEqual(summary["count"], 40)
+        # The server held only the four requests in flight; the ones due
+        # behind them waited in the generator.  Timed from their due
+        # time, most of the low-rate samples are slow: the median itself
+        # sits in the backlog.
         self.assertGreater(summary["p99_ms"], 0.8 * stall_s * 1e3)
         self.assertGreater(summary["p50_ms"], 100.0)
 

@@ -163,6 +163,10 @@ int run_check(int argc, const char* const* argv) {
     return *rows;
   };
 
+  // Expected replies by query: the records do not change during the
+  // check, and a reduction over a big archive costs milliseconds.
+  std::map<std::string, std::string> rendered;
+
   std::size_t checked = 0;
   std::size_t skipped = 0;
   std::size_t tie_order = 0;
@@ -191,6 +195,11 @@ int run_check(int argc, const char* const* argv) {
     } else {
       if (traffic && !read_only) {
         ++skipped;  // the records grew after this reply was sent
+        continue;
+      }
+      if (const auto it = rendered.find(sample.query);
+          it != rendered.end() && it->second == sample.reply) {
+        ++checked;
         continue;
       }
       std::istringstream in(sample.query);
@@ -223,6 +232,7 @@ int run_check(int argc, const char* const* argv) {
       } else {
         throw std::runtime_error("unexpected sampled query: " + sample.query);
       }
+      rendered[sample.query] = expected;
       ok = sample.reply == expected;
       if (!ok && tied) {
         ok = true;

@@ -52,6 +52,9 @@ namespace fs = std::filesystem;
 
 using Metrics = std::vector<std::pair<std::string, double>>;
 
+/// Annealing walkers, as the benchmark's `anneal` workload runs explore_cli.
+constexpr std::size_t kWalkers = 8;
+
 /// Job blocks as the engine sees them: each block's indices restart at 0.
 struct Chunks {
   std::vector<mx::EvalJob> jobs;
@@ -132,7 +135,6 @@ int run_layers(int argc, const char* const* argv) {
   cli.opt("search-budget", static_cast<long long>(20000),
           "unique evaluations for the timed run_search");
   cli.opt("seed", static_cast<long long>(1), "run_search seed");
-  cli.opt("walkers", static_cast<long long>(8), "annealing walkers");
   cli.opt("trace-out", std::string(), "write the spans here (NDJSON)");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -176,7 +178,6 @@ int run_layers(int argc, const char* const* argv) {
     cut(chunks, 512);  // explore_cli's run_chunked chunk
   } else {
     // Annealing rounds: one candidate per walker, drawn over the grid.
-    const auto walkers = static_cast<std::size_t>(cli.get_int("walkers"));
     const std::size_t points = std::min<std::size_t>(chunks.jobs.size(),
                                                      100000);
     ms::util::Xoshiro256 rng(static_cast<std::uint64_t>(cli.get_int("seed")));
@@ -187,7 +188,7 @@ int run_layers(int argc, const char* const* argv) {
         chunks.jobs.push_back(std::move(job));
       }
     }
-    cut(chunks, walkers);
+    cut(chunks, kWalkers);
   }
   const double points = double(chunks.jobs.size());
   auto fresh_engine = [&](int threads) {
@@ -306,7 +307,7 @@ int run_layers(int argc, const char* const* argv) {
     options.strategy = ms::search::Strategy::kAnneal;
     options.budget = static_cast<std::uint64_t>(cli.get_int("search-budget"));
     options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    options.walkers = static_cast<std::size_t>(cli.get_int("walkers"));
+    options.walkers = kWalkers;
     ms::search::SearchOutcome outcome;
     {
       Tracer::Scope s(tracer, "search.run_search");
