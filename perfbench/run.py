@@ -560,14 +560,6 @@ class Journey:
                 self.problem(f"p99 at the {phase} rate rests on "
                              f"{summary['windows']} windows with "
                              f"{summary['beyond_p99']} samples beyond")
-        self.raw = {
-            "points_per_s": [i["logged"] / i["wall"] for i in runs[2]],
-            "points_per_s_1t": [i["logged"] / i["wall"] for i in runs[1]],
-            "archive_s": archive_s, "setup_s": setup_s,
-        }
-        for phase in ("low", "high"):
-            self.raw[f"window_p99_ms.{phase}"] = load[phase]["interactive"][
-                "window_p99_ms"]
         self.metrics["pareto_ms"] = load["pareto"]["p50_ms"]
         self.notes["pareto_ms"] = f"n={load['pareto']['count']}"
         self.counts["serve.live_evals"] = load["stats"]["live_evals"]
@@ -630,7 +622,6 @@ def one_run(args):
         log("journey-e2e: " + json.dumps(journey.metrics, sort_keys=True))
         if args.trace == 0:
             log("counts: " + json.dumps(journey.counts, sort_keys=True))
-            log("raw: " + json.dumps(journey.raw))
             return emit(correct, journey.attempted, journey.failed,
                         journey.metrics, bench["end_to_end"])
 
@@ -706,7 +697,7 @@ def child(workload, seed, seconds, trace, scale):
     result = json.loads(lines[-1]) if lines else {"correct": False}
     extra = {}
     for line in lines:
-        for key in ("counts", "journey-e2e", "raw"):
+        for key in ("counts", "journey-e2e"):
             if line.startswith(key + ": "):
                 extra[key] = json.loads(line[len(key) + 2:])
     result.update(extra, exit=proc.returncode, wall=wall, seed=seed)

@@ -217,15 +217,6 @@ std::string json_number(double value) {
   return os.str();
 }
 
-std::string join_numbers(const std::vector<double>& values) {
-  std::string out;
-  for (double value : values) {
-    if (!out.empty()) out += ',';
-    out += json_number(value);
-  }
-  return out;
-}
-
 /// About one measured request in this many is recorded for the
 /// correctness check.
 constexpr std::uint64_t kSampleEvery = 50;
@@ -243,10 +234,10 @@ constexpr std::size_t kWindow = 1000;
 /// is in due-time order.  p99 is the lower decile over consecutive
 /// windows of kWindow requests of each window's p99 (pooled when there
 /// are fewer than three windows).  On a shared VM the host takes the
-/// guest's vCPUs away, or wakes them late, in episodes of 5-15 s that
-/// lift a window's p99 from a few hundred microseconds to 3-20 ms and
-/// cover anywhere from none to most of a run; every estimator that
-/// averages over the run's time (the pooled p99, the median window)
+/// guest's vCPUs away, or wakes them late, in episodes of seconds to
+/// minutes that lift a window's p99 from a few hundred microseconds to
+/// 3-20 ms and cover anywhere from none to all of a run; every estimator
+/// that averages over the run's time (the pooled p99, the median window)
 /// measures how much of the run fell into such episodes.  The lower
 /// decile is the p99 the server delivers while the host leaves it alone.
 /// The pooled p99 and the median window's are reported beside it.
@@ -273,8 +264,7 @@ std::string summary(const std::vector<double>& latencies_ms) {
          ",\"p99_median_window_ms\":" + json_number(median_window) +
          ",\"p99_pooled_ms\":" + json_number(pooled) +
          ",\"windows\":" + std::to_string(windows >= 3 ? windows : 1) +
-         ",\"beyond_p99\":" + std::to_string(beyond) +
-         ",\"window_p99_ms\":[" + join_numbers(window_p99) + "]}";
+         ",\"beyond_p99\":" + std::to_string(beyond) + "}";
 }
 
 }  // namespace
