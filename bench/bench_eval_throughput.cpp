@@ -20,23 +20,15 @@
 //             memory-bound, so this ratio only opens up on SIMD builds)
 //   persist   the same sweep persisted through a RunLog: NDJSON with
 //             flush-per-record (the historical baseline) vs. the binary
-//             format with buffered group flushes vs. binary with the
-//             double-buffered writer thread (--log-async's machinery).
-//             An unpersisted run of the same no-cache sweep anchors the
-//             *stall* — the wall-clock the log costs on top of pure
-//             evaluation — and the bench reports how much of the
-//             synchronous stall the writer thread removes (its whole
-//             point: with spare cores the encode+write work overlaps
-//             evaluation instead of serializing after it)
+//             format with buffered group flushes, next to an unpersisted
+//             run of the same no-cache sweep (what the log costs on top
+//             of pure evaluation)
 //   anneal    the annealing strategy at --walkers 1 (the old sequential
 //             walker) vs. the parallel multi-walker front
 //
 // Emits a BENCH_throughput.json with every number so CI can archive the
 // perf trajectory, and exits nonzero when binary+buffered persistence
-// fails to beat the NDJSON per-line baseline by --min-persist-speedup,
-// or when the writer thread removes less than --min-stall-removed of
-// the synchronous persistence stall (default 0: advisory, because a
-// single-core box has no spare cycles to overlap into).
+// fails to beat the NDJSON per-line baseline by --min-persist-speedup.
 //
 //   ./build/bench_eval_throughput                 # ~1.2M-grid-point space
 //   ./build/bench_eval_throughput --scale smoke   # CI-sized space
@@ -157,7 +149,7 @@ SweepStats sweep(explore::ExploreEngine& engine, const search::SearchSpace& spac
                std::span(results).first(slice.size()));
     if (log != nullptr) {
       for (std::size_t i = 0; i < slice.size(); ++i) {
-        if (!results[i].from_cache) log->append(std::move(results[i]));
+        if (!results[i].from_cache) log->append(results[i]);
       }
     }
     stats.points += slice.size();
@@ -347,9 +339,6 @@ int main(int argc, char** argv) try {
           "binary log records per flush group");
   cli.opt("min-persist-speedup", 1.0,
           "fail when binary+buffered / ndjson-per-line falls below this");
-  cli.opt("min-stall-removed", 0.0,
-          "fail when the writer thread removes less than this fraction of "
-          "the synchronous persistence stall (needs a spare core)");
   cli.opt("min-batch-speedup", 0.0,
           "fail when the batch pipeline / PR 6 per-job baseline throughput "
           "ratio falls below this (gate for the multi-core CI runner)");
@@ -376,17 +365,16 @@ int main(int argc, char** argv) try {
   std::cout << "space: " << space.size() << " grid points ("
             << scale << " scale)\n";
 
-  // The writer-thread and multi-walker comparisons measure *overlap*:
-  // with a single hardware thread there are no spare cycles to overlap
-  // into, so their ratios say nothing about the machinery.  The raw
-  // numbers are still measured and reported; only the two derived
-  // ratios are marked skipped (and their gates disarmed) so a one-core
-  // CI box archives honest JSON instead of a meaningless 1.0x.
+  // The threaded-pipeline and multi-walker comparisons measure
+  // parallelism: with a single hardware thread their ratios say nothing
+  // about the machinery.  The raw numbers are still measured and
+  // reported; only the two derived ratios are marked skipped (and their
+  // gates disarmed) so a one-core CI box archives honest JSON instead of
+  // a meaningless 1.0x.
   const bool single_core = std::thread::hardware_concurrency() <= 1;
   if (single_core) {
-    std::cout << "note: single hardware thread — anneal_speedup, "
-                 "persist_stall_removed and batch_speedup are reported as "
-                 "\"skipped_single_core\"\n";
+    std::cout << "note: single hardware thread — anneal_speedup and "
+                 "batch_speedup are reported as \"skipped_single_core\"\n";
   }
 
   // --- eval: PR 6 per-job baseline vs. batch pipeline vs. warm cache -----
@@ -459,7 +447,7 @@ int main(int argc, char** argv) try {
             << util::format_double(kernel_speedup, 2) << "x ("
             << batch_stats.points << " points, 1 thread)\n";
 
-  // --- persist: ndjson per-line vs. binary buffered vs. binary async -----
+  // --- persist: ndjson per-line vs. binary buffered ----------------------
   // The workload of `explore_cli --no-cache --run-dir <dir>`: a fresh
   // recorded exhaustive sweep.  Every cross-product point is distinct, so
   // the memo cache would be pure per-point overhead here — it is read
@@ -469,7 +457,7 @@ int main(int argc, char** argv) try {
   SweepStats bare;
   {
     // Unpersisted anchor: the same sweep with no log at all.  Whatever a
-    // persisted run takes beyond this is the persistence stall.
+    // persisted run takes beyond this is what the log costs.
     explore::ExploreEngine fresh(persist_options);
     bare = sweep(fresh, space, nullptr);
   }
@@ -487,26 +475,8 @@ int main(int argc, char** argv) try {
                        {search::LogFormat::kBinary, flush_every});
     binary = sweep(fresh, space, &log);
   }
-  SweepStats async;
-  {
-    explore::ExploreEngine fresh(persist_options);
-    search::RunLogOptions log_options{search::LogFormat::kBinary,
-                                      flush_every};
-    log_options.async = true;
-    search::RunLog log(work + "/async", log_options);
-    async = sweep(fresh, space, &log);
-  }
   const double persist_speedup =
       ndjson.pps() > 0.0 ? binary.pps() / ndjson.pps() : 0.0;
-  // Stall removed by the writer thread, as a fraction of the synchronous
-  // binary log's stall.  Clamped into [0, 1]: timing noise can push the
-  // async sweep marginally below the unpersisted anchor.
-  const double stall_sync = binary.seconds - bare.seconds;
-  const double stall_async = async.seconds - bare.seconds;
-  const double stall_removed =
-      stall_sync > 0.0
-          ? std::min(1.0, std::max(0.0, 1.0 - stall_async / stall_sync))
-          : 0.0;
   const auto ndjson_bytes = std::filesystem::file_size(
       search::RunLog::results_path(work + "/ndjson"));
   const auto binary_bytes = std::filesystem::file_size(
@@ -517,12 +487,6 @@ int main(int argc, char** argv) try {
             << flush_every << " " << util::format_double(binary.pps(), 0)
             << " pts/s (" << binary_bytes << " B) — "
             << util::format_double(persist_speedup, 2) << "x\n";
-  std::cout << "persist: binary+writer-thread "
-            << util::format_double(async.pps(), 0) << " pts/s — stall "
-            << util::format_double(stall_sync * 1e3, 2) << " ms sync vs "
-            << util::format_double(stall_async * 1e3, 2) << " ms async ("
-            << util::format_double(stall_removed * 100.0, 1)
-            << "% removed)\n";
 
   // --- anneal: sequential walker vs. parallel front ----------------------
   const std::uint64_t budget = scale == "smoke" ? 4000 : 50000;
@@ -558,16 +522,9 @@ int main(int argc, char** argv) try {
          << "  \"persist_bare_pps\": " << bare.pps() << ",\n"
          << "  \"persist_ndjson_pps\": " << ndjson.pps() << ",\n"
          << "  \"persist_binary_pps\": " << binary.pps() << ",\n"
-         << "  \"persist_binary_async_pps\": " << async.pps() << ",\n"
          << "  \"persist_ndjson_bytes\": " << ndjson_bytes << ",\n"
          << "  \"persist_binary_bytes\": " << binary_bytes << ",\n"
          << "  \"persist_speedup\": " << persist_speedup << ",\n"
-         << "  \"persist_stall_sync_s\": " << stall_sync << ",\n"
-         << "  \"persist_stall_async_s\": " << stall_async << ",\n"
-         << "  \"persist_stall_removed\": "
-         << (single_core ? std::string("\"skipped_single_core\"")
-                         : std::to_string(stall_removed))
-         << ",\n"
          << "  \"anneal_budget\": " << budget << ",\n"
          << "  \"anneal_walkers\": " << walkers << ",\n"
          << "  \"anneal_seq_pps\": " << seq.pps() << ",\n"
@@ -585,9 +542,9 @@ int main(int argc, char** argv) try {
   }
   std::cout << "wrote " << cli.get_string("out") << "\n";
 
-  // Like min-stall-removed, the batch gate is disarmed on a one-core
-  // box: the ≥4x target assumes the multi-core CI runner, not the
-  // single-core reference VM whose timing noise swamps the ratio.
+  // The batch gate is disarmed on a one-core box: the ≥4x target
+  // assumes the multi-core CI runner, not the single-core reference VM
+  // whose timing noise swamps the ratio.
   if (!single_core && batch_speedup < cli.get_double("min-batch-speedup")) {
     std::cerr << "FAIL: the batch pipeline is only "
               << util::format_double(batch_speedup, 2)
@@ -602,21 +559,6 @@ int main(int argc, char** argv) try {
               << "x the NDJSON per-line baseline (gate "
               << util::format_double(cli.get_double("min-persist-speedup"), 2)
               << "x)\n";
-    return 1;
-  }
-  // A non-positive synchronous stall means there is nothing to remove
-  // (timing noise can even push the persisted sweep below the bare
-  // anchor) — the gate is trivially satisfied, not failed.  On a
-  // single-core box the gate is disarmed outright: overlap needs a
-  // spare core to exist.
-  if (!single_core && stall_sync > 0.0 &&
-      stall_removed < cli.get_double("min-stall-removed")) {
-    std::cerr << "FAIL: the writer thread removed only "
-              << util::format_double(stall_removed * 100.0, 1)
-              << "% of the synchronous persistence stall (gate "
-              << util::format_double(
-                     cli.get_double("min-stall-removed") * 100.0, 1)
-              << "%)\n";
     return 1;
   }
   return 0;

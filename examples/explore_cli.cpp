@@ -6,9 +6,9 @@
 // pareto) under a hard evaluation budget.  The pareto strategy trades
 // speedup against a cost metric (--cost-metric area|cores) and reports
 // its incremental non-dominated archive with a hypervolume summary.
-// Results stream into an optional run directory as
-// append-only NDJSON, so a killed run resumed with --resume continues
-// where it stopped instead of recomputing.
+// Fresh results stream into an optional run directory's append-only
+// result log (NDJSON or binary, --log-format), so a killed run resumed
+// with --resume continues where it stopped instead of recomputing.
 //
 //   ./build/explore_cli                                # paper defaults
 //   ./build/explore_cli --apps kmeans,hop --budgets 64,256,1024
@@ -26,7 +26,7 @@
 //                                        # dedup + rewrite the run log
 //   for i in 0 1 2 3; do                 # multi-process sharded sweep
 //     ./build/explore_cli --shard $i/4 --run-dir /tmp/shards
-//       --log-format binary --log-async &
+//       --log-format binary &
 //   done; wait                           # one results.shard-$i.msbin each
 //   ./build/explore_cli --merge --run-dir /tmp/shards
 //                                        # union + dedup into one log
@@ -280,9 +280,6 @@ int main(int argc, char** argv) try {
           "run-log encoding: ndjson | binary (compact, for huge runs)");
   cli.opt("flush-every", static_cast<long long>(1),
           "run-log records per flush group (crash loses at most one group)");
-  cli.flag("log-async",
-           "encode+write run-log groups on a writer thread (crash loses "
-           "at most the in-flight group plus the one being filled)");
   cli.flag("fsync",
            "fsync every flushed run-log group: the crash window holds "
            "under power loss, not just process death, at one fsync per "
@@ -568,7 +565,6 @@ int main(int argc, char** argv) try {
       search::RunLog::write_meta(run_dir, config);
     }
     search::RunLogOptions log_options{log_format, flush_every};
-    log_options.async = cli.get_flag("log-async");
     log_options.fsync = cli.get_flag("fsync");
     if (shard) log_options.shard = shard->index;
     log = std::make_unique<search::RunLog>(run_dir, log_options);

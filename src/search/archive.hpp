@@ -119,6 +119,9 @@ class ArchiveReader {
 
   std::uint64_t row_count() const noexcept;
   std::uint64_t feasible_count() const noexcept;
+  /// One past the highest archived index (0 when empty): records added
+  /// after the archive can be numbered from here without colliding.
+  std::uint64_t end_index() const noexcept;
   ArchiveStats stats() const noexcept;
 
   /// Highest-speedup feasible record (ties toward the lower index);

@@ -1,11 +1,12 @@
 #include "search/binary_log.hpp"
 
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+
+#include "search/codec.hpp"
 
 namespace mergescale::search {
 
@@ -24,76 +25,7 @@ constexpr std::uint8_t kStringFrame = 0;
 constexpr std::uint8_t kEvalFrame = 1;
 constexpr std::size_t kEvalPayload = 68;
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the ubiquitous zlib
-// polynomial, table-driven.
-// ---------------------------------------------------------------------------
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-std::uint32_t crc32(const char* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian encode/decode, independent of host byte order.
-// ---------------------------------------------------------------------------
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-std::uint16_t get_u16(const char* p) {
-  return static_cast<std::uint16_t>(static_cast<unsigned char>(p[0]) |
-                                    (static_cast<unsigned char>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-double get_f64(const char* p) { return std::bit_cast<double>(get_u64(p)); }
+using namespace codec;
 
 std::string encode_header() {
   std::string header;
@@ -273,18 +205,16 @@ void BinaryLog::append(const explore::EvalResult& result) {
   char frame[kFrameOverhead + kEvalPayload];
   char* p = frame + 4;  // crc patched last
   auto u16 = [&p](std::uint16_t v) {
-    *p++ = static_cast<char>(v & 0xFF);
-    *p++ = static_cast<char>((v >> 8) & 0xFF);
+    poke_u16(p, v);
+    p += 2;
   };
   auto u32 = [&p](std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      *p++ = static_cast<char>((v >> shift) & 0xFF);
-    }
+    poke_u32(p, v);
+    p += 4;
   };
   auto u64 = [&p](std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      *p++ = static_cast<char>((v >> shift) & 0xFF);
-    }
+    poke_u64(p, v);
+    p += 8;
   };
   u16(static_cast<std::uint16_t>(kEvalPayload));
   *p++ = static_cast<char>(kEvalFrame);

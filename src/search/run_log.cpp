@@ -168,11 +168,6 @@ RunLog::RunLog(std::string dir, RunLogOptions options)
       check_io(out_->flush(), "flush", path);
     }
   }
-  if (options_.async) {
-    filling_.reserve(options_.flush_every);
-    in_flight_.reserve(options_.flush_every);
-    writer_ = std::thread([this] { writer_main(); });
-  }
 }
 
 RunLog::~RunLog() {
@@ -181,14 +176,6 @@ RunLog::~RunLog() {
   } catch (...) {
     // Destructors must not throw; an unflushable tail is the documented
     // crash-loss window.
-  }
-  if (writer_.joinable()) {
-    {
-      util::MutexLock lock(mutex_);
-      stopping_ = true;
-    }
-    writer_cv_.notify_one();
-    writer_.join();
   }
 }
 
@@ -202,85 +189,7 @@ std::string RunLog::append_path() const {
              : shard_results_path(dir_, options_.shard);
 }
 
-void RunLog::write_group(const std::vector<explore::EvalResult>& group) {
-  if (binary_) {
-    for (const explore::EvalResult& result : group) {
-      binary_->append(result);
-    }
-    binary_->flush();
-    return;
-  }
-  std::ostringstream text;
-  explore::write_ndjson(text, group);
-  const std::string path = append_path();
-  check_io(out_->append(text.str()), "write to", path);
-  check_io(out_->flush(), "flush", path);
-  if (options_.fsync) check_io(out_->sync(), "fsync", path);
-}
-
-void RunLog::enqueue_group() {
-  util::MutexLock lock(mutex_);
-  while (in_flight_ready_ && writer_error_ == nullptr) {
-    producer_cv_.wait(lock);
-  }
-  // A writer-side failure is sticky: the writer thread has exited, so
-  // handing it more work would block forever.  Every later append/flush
-  // resurfaces the same error.
-  if (writer_error_ != nullptr) std::rethrow_exception(writer_error_);
-  in_flight_.swap(filling_);
-  in_flight_ready_ = true;
-  filling_.clear();
-  lock.unlock();
-  writer_cv_.notify_one();
-}
-
-void RunLog::writer_main() {
-  std::vector<explore::EvalResult> group;
-  group.reserve(options_.flush_every);
-  for (;;) {
-    util::MutexLock lock(mutex_);
-    while (!in_flight_ready_ && !stopping_) writer_cv_.wait(lock);
-    if (!in_flight_ready_) break;  // stopping, queue drained
-    group.swap(in_flight_);
-    in_flight_ready_ = false;
-    writer_busy_ = true;
-    lock.unlock();
-    producer_cv_.notify_all();
-
-    std::exception_ptr error;
-    try {
-      write_group(group);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    group.clear();
-
-    lock.lock();
-    writer_busy_ = false;
-    if (error != nullptr) {
-      writer_error_ = error;
-      writer_failed_.store(true, std::memory_order_release);
-    }
-    const bool stop = stopping_ || error != nullptr;
-    lock.unlock();
-    producer_cv_.notify_all();
-    if (stop) break;
-  }
-}
-
 void RunLog::append(const explore::EvalResult& result) {
-  if (options_.async) {
-    ++appended_;
-    filling_.push_back(result);
-    // A failed writer surfaces on the very next append (the relaxed
-    // atomic keeps the hot path mutex-free): enqueue_group rethrows
-    // the stored error instead of queueing work for a dead thread.
-    if (filling_.size() >= options_.flush_every ||
-        writer_failed_.load(std::memory_order_relaxed)) {
-      enqueue_group();
-    }
-    return;
-  }
   ++appended_;
   if (binary_) {
     binary_->append(result);
@@ -292,29 +201,7 @@ void RunLog::append(const explore::EvalResult& result) {
   if (++buffered_records_ >= options_.flush_every) flush();
 }
 
-void RunLog::append(explore::EvalResult&& result) {
-  if (options_.async) {
-    ++appended_;
-    filling_.push_back(std::move(result));
-    if (filling_.size() >= options_.flush_every ||
-        writer_failed_.load(std::memory_order_relaxed)) {
-      enqueue_group();
-    }
-    return;
-  }
-  append(result);  // the sync path encodes in place, no copy to save
-}
-
 void RunLog::flush() {
-  if (options_.async) {
-    if (!filling_.empty()) enqueue_group();
-    util::MutexLock lock(mutex_);
-    while ((in_flight_ready_ || writer_busy_) && writer_error_ == nullptr) {
-      producer_cv_.wait(lock);
-    }
-    if (writer_error_ != nullptr) std::rethrow_exception(writer_error_);
-    return;  // the writer flushes the stream after every group
-  }
   if (binary_) {
     binary_->flush();
     return;
@@ -626,39 +513,34 @@ namespace {
 /// Dedups `records` (first occurrence wins) and atomically rewrites
 /// `dir`'s result log in `format`, removing every other result file —
 /// the shared tail of compact() and merge().
-RunLog::CompactStats dedup_rewrite(
-    const std::string& dir, const std::vector<explore::EvalResult>& records,
-    LogFormat format, std::size_t flush_every);
+RunLog::CompactStats dedup_rewrite(const std::string& dir,
+                                   std::vector<explore::EvalResult> records,
+                                   LogFormat format, std::size_t flush_every);
 
 }  // namespace
 
 RunLog::CompactStats RunLog::compact(const std::string& dir,
                                      LogFormat format,
                                      std::size_t flush_every) {
-  const std::vector<explore::EvalResult> records = load(dir);
+  std::vector<explore::EvalResult> records = load(dir);
   if (records.empty()) {
     // Nothing recorded (no result files, or only empty / header-only
     // ones): compacting is a no-op, not an error — rewriting would only
     // fabricate result files in a directory that holds no results.
     return CompactStats{};
   }
-  return dedup_rewrite(dir, records, format, flush_every);
+  return dedup_rewrite(dir, std::move(records), format, flush_every);
 }
 
 namespace {
 
-RunLog::CompactStats dedup_rewrite(
-    const std::string& dir, const std::vector<explore::EvalResult>& records,
-    LogFormat format, std::size_t flush_every) {
+RunLog::CompactStats dedup_rewrite(const std::string& dir,
+                                   std::vector<explore::EvalResult> records,
+                                   LogFormat format, std::size_t flush_every) {
   RunLog::CompactStats stats;
   stats.loaded = records.size();
-
-  std::unordered_set<std::string> seen;
-  std::vector<const explore::EvalResult*> kept;
-  kept.reserve(records.size());
-  for (const auto& record : records) {
-    if (seen.insert(design_key(record)).second) kept.push_back(&record);
-  }
+  const std::vector<explore::EvalResult> kept =
+      RunLog::dedup(std::move(records));
   stats.kept = kept.size();
 
   // Write the survivors to a temp file, then rename over the target: a
@@ -673,16 +555,14 @@ RunLog::CompactStats dedup_rewrite(
   try {
     if (format == LogFormat::kBinary) {
       BinaryLog log(tmp, flush_every);
-      for (const explore::EvalResult* record : kept) log.append(*record);
+      for (const explore::EvalResult& record : kept) log.append(record);
       log.flush();
       log.sync();
     } else {
       std::unique_ptr<util::WritableFile> out;
       check_io(env.new_writable(tmp, /*truncate=*/true, &out), "open", tmp);
       std::ostringstream text;
-      for (const explore::EvalResult* record : kept) {
-        explore::write_ndjson(text, {*record});
-      }
+      explore::write_ndjson(text, kept);
       check_io(out->append(text.str()), "write to", tmp);
       check_io(out->flush(), "flush", tmp);
       // Sync before the rename below: renaming a file whose bytes could
@@ -772,7 +652,7 @@ RunLog::MergeStats RunLog::merge(const std::string& target,
   }
   if (!records.empty()) {
     const CompactStats compacted =
-        dedup_rewrite(target, records, format, flush_every);
+        dedup_rewrite(target, std::move(records), format, flush_every);
     stats.loaded = compacted.loaded;
     stats.kept = compacted.kept;
   }

@@ -12,17 +12,13 @@
 //   <dir>/meta.json        the run configuration fingerprint, used to
 //                          refuse resuming under a different setup
 //
-// Appends are buffered and flushed every `flush_every` records (and on
-// destruction), so a killed run loses at most the unflushed group — with
-// the default flush_every = 1 that is the single record being written,
-// the historical per-line guarantee.  With `async` on, encoding and the
-// write syscalls move to a dedicated writer thread behind a
-// double-buffered (depth-one) group queue: append() only copies the
-// record into the filling group, the writer drains complete groups
-// concurrently with evaluation, and flush()/destruction drain cleanly.
-// The crash window stays one flush group in flight plus the group still
-// filling.  load()/warm()/resume and the torn-tail repair semantics are
-// identical across formats: opening for append repairs a torn tail
+// Appends are encoded on the appending thread, buffered, and written
+// every `flush_every` records (and on destruction), so a killed run
+// loses at most the one unflushed group — with the default
+// flush_every = 1 that is the single record being written, the
+// historical per-line guarantee.  load()/warm()/resume and the
+// torn-tail repair semantics are identical across formats: opening for
+// append repairs a torn tail
 // (NDJSON: terminates the fragment line; binary: truncates past the
 // last CRC-verified frame), load() skips corrupt records, and resume is
 // cache warming either way.
@@ -37,22 +33,17 @@
 // from), and merge()/compact() collapse the union into the single
 // deduplicated log a single-process run would have produced.
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "explore/engine.hpp"
 #include "search/binary_log.hpp"
 #include "search/ndjson.hpp"
 #include "util/io_env.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace mergescale::search {
 
@@ -78,14 +69,6 @@ struct RunLogOptions {
   /// window (at most `flush_every` unflushed records) for an order of
   /// magnitude fewer write syscalls on large runs.
   std::size_t flush_every = 1;
-  /// Encode and write on a dedicated writer thread instead of the
-  /// appending thread.  Groups are handed over through a depth-one
-  /// queue (classic double buffering: one group filling, at most one in
-  /// flight), so producer memory is bounded and the crash window grows
-  /// by at most the single in-flight group.  flush() drains the queue
-  /// before returning; writer-side I/O errors surface on the next
-  /// append()/flush().
-  bool async = false;
   /// Shard index of a multi-process run: appends go to
   /// <dir>/results.shard-<i>.<ext> instead of the unsharded file.
   /// kUnsharded (the default) keeps the single-process layout.
@@ -105,26 +88,16 @@ class RunLog {
   /// Throws std::runtime_error when the file cannot be opened.
   explicit RunLog(std::string dir, RunLogOptions options = {});
 
-  /// Flushes any buffered records (draining the writer thread first in
-  /// async mode) and stops the writer thread.
+  /// Flushes any buffered records.
   ~RunLog();
 
   RunLog(const RunLog&) = delete;
   RunLog& operator=(const RunLog&) = delete;
 
   /// Appends one result; the write reaches disk with its flush group.
-  /// Async mode: the record joins the filling group and the call
-  /// returns; a full group is handed to the writer thread (blocking
-  /// only while a previous group is still in flight).
   void append(const explore::EvalResult& result);
-  /// Move form: callers done with the record (streaming sweeps that log
-  /// and discard) hand the labels over instead of copying them — the
-  /// async producer path's per-record cost drops to pointer swaps.
-  void append(explore::EvalResult&& result);
 
-  /// Writes any buffered records through to disk.  Async mode: hands
-  /// over the partial group, waits for the writer to drain, and
-  /// rethrows any writer-side I/O error.
+  /// Writes any buffered records through to disk.
   void flush();
 
   /// Results appended through *this* log instance (not the file total).
@@ -291,21 +264,11 @@ class RunLog {
  private:
   /// The result file this instance appends to (honors options_.shard).
   std::string append_path() const;
-  /// Encodes + writes one group of records and flushes the stream.
-  /// Sync mode: called inline from append()/flush(); async mode: only
-  /// ever called on the writer thread.
-  void write_group(const std::vector<explore::EvalResult>& group);
-  /// Hands the filling group to the writer thread, blocking while a
-  /// previous group is still in flight.  Rethrows a pending writer
-  /// error.
-  void enqueue_group() MS_EXCLUDES(mutex_);
-  /// Writer-thread main loop.
-  void writer_main() MS_EXCLUDES(mutex_);
 
   std::string dir_;
   RunLogOptions options_;
   /// The env active at construction; every byte this instance moves
-  /// (including from the writer thread) goes through it.
+  /// goes through it.
   util::IoEnv* env_ = nullptr;
   // NDJSON state (format == kNdjson).
   std::unique_ptr<util::WritableFile> out_;
@@ -314,27 +277,6 @@ class RunLog {
   // Binary state (format == kBinary).
   std::unique_ptr<BinaryLog> binary_;
   std::uint64_t appended_ = 0;
-  // Group being filled by append() (producer side, async mode only —
-  // the sync path encodes straight into buffer_/binary_).  NOT guarded
-  // by mutex_: only the single appending thread touches it; the handoff
-  // to the writer is the under-lock swap in enqueue_group().
-  std::vector<explore::EvalResult> filling_;
-  // Writer-thread state (async mode only).  mutex_ guards the depth-one
-  // queue and every flag the two condition variables wait on.
-  std::thread writer_;
-  util::Mutex mutex_;
-  util::CondVar producer_cv_;  ///< queue slot free / drained
-  util::CondVar writer_cv_;    ///< group ready / stop
-  std::vector<explore::EvalResult> in_flight_ MS_GUARDED_BY(mutex_);
-  /// in_flight_ holds an unconsumed group.
-  bool in_flight_ready_ MS_GUARDED_BY(mutex_) = false;
-  /// Writer is encoding/writing a group.
-  bool writer_busy_ MS_GUARDED_BY(mutex_) = false;
-  bool stopping_ MS_GUARDED_BY(mutex_) = false;
-  std::exception_ptr writer_error_ MS_GUARDED_BY(mutex_);
-  /// Lock-free mirror of writer_error_'s presence, so the append hot
-  /// path can notice a dead writer without taking the mutex per record.
-  std::atomic<bool> writer_failed_{false};
 };
 
 }  // namespace mergescale::search

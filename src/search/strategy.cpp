@@ -137,11 +137,14 @@ class Funnel {
   /// fingerprint to the same cache key — inert-axis twins, revisited
   /// neighbors — are submitted once and fanned back out, so the cache
   /// miss count (the budget currency) is independent of thread
-  /// scheduling inside the engine.
+  /// scheduling inside the engine.  Every result carries the flat grid
+  /// index of the first coordinate that produced its key, so logged
+  /// records are numbered in the space, not in the batch.
   std::vector<explore::EvalResult> evaluate(const std::vector<Coords>& batch) {
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     std::vector<explore::EvalJob> jobs;
     std::vector<std::size_t> job_of(batch.size(), kNone);
+    std::vector<std::size_t> first_coords;  // per job: its batch position
     std::unordered_map<explore::CacheKey, std::size_t, explore::CacheKeyHash>
         unique;
     jobs.reserve(batch.size());
@@ -159,12 +162,18 @@ class Funnel {
       if (inserted) {
         job.index = jobs.size();
         jobs.push_back(std::move(job));
+        first_coords.push_back(i);
       }
       job_of[i] = it->second;
     }
 
-    const std::vector<explore::EvalResult> evaluated = engine_.run(jobs);
-    for (const explore::EvalResult& result : evaluated) {
+    // The engine needs positional indices; the space's own index is
+    // stamped afterwards.
+    std::vector<explore::EvalResult> evaluated = engine_.run(jobs);
+    for (std::size_t j = 0; j < evaluated.size(); ++j) {
+      explore::EvalResult& result = evaluated[j];
+      result.index =
+          static_cast<std::size_t>(space_.encode(batch[first_coords[j]]));
       if (log_ != nullptr && !result.from_cache) log_->append(result);
       if (result.feasible &&
           (!outcome_->found || result.speedup > outcome_->best.speedup)) {

@@ -8,7 +8,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
+#include <iostream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,6 +18,7 @@
 #include "explore/memo_cache.hpp"
 #include "explore/report.hpp"
 #include "noc/topology.hpp"
+#include "util/io_env.hpp"
 
 namespace mergescale::serve {
 
@@ -73,9 +75,14 @@ QueryServer::QueryServer(Archive archive, explore::ExploreEngine& engine,
                        options_.probe.min_concurrency,
                        options_.probe.max_concurrency)),
       probe_(options_.probe, options_.initial_concurrency) {
-  next_index_.store(static_cast<std::size_t>(reader_.row_count()) +
-                        delta_.size(),
-                    std::memory_order_relaxed);
+  // Live evals are numbered after the largest recorded index, not after
+  // the record count: an adaptive run's indices are sparse grid indices,
+  // and a count-based number could collide with one of them.
+  std::uint64_t next = reader_.end_index();
+  for (const explore::EvalResult& record : delta_) {
+    next = std::max<std::uint64_t>(next, record.index + 1);
+  }
+  next_index_.store(static_cast<std::size_t>(next), std::memory_order_relaxed);
 }
 
 QueryServer::~QueryServer() { stop(); }
@@ -111,24 +118,30 @@ void QueryServer::start() {
   }
   port_ = static_cast<int>(ntohs(bound.sin_port));
 
+  util::IoEnv& env = util::io_env();
   if (!options_.port_file.empty()) {
     // Write + rename: a script polling the file never reads a torn port.
+    // No fsync: the file names a live process, which a power loss ends
+    // anyway.
     const std::string tmp = options_.port_file + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::trunc);
-      out << port_ << "\n";
-      out.flush();
-      if (!out.good()) {
-        throw std::runtime_error("serve: cannot write " + tmp);
-      }
+    std::unique_ptr<util::WritableFile> out;
+    util::IoResult result = env.new_writable(tmp, /*truncate=*/true, &out);
+    if (result.ok()) result = out->append(std::to_string(port_) + "\n");
+    if (result.ok()) result = out->flush();
+    if (result.ok()) result = out->close();
+    if (result.ok()) result = env.rename_file(tmp, options_.port_file);
+    if (!result.ok()) {
+      static_cast<void>(env.remove_file(tmp));
+      throw std::runtime_error("serve: cannot write port file " +
+                               options_.port_file + ": " + result.message);
     }
-    std::filesystem::rename(tmp, options_.port_file);
   }
   if (!options_.metrics_path.empty()) {
-    metrics_.open(options_.metrics_path, std::ios::app);
-    if (!metrics_.good()) {
+    const util::IoResult result =
+        env.new_writable(options_.metrics_path, /*truncate=*/false, &metrics_);
+    if (!result.ok()) {
       throw std::runtime_error("serve: cannot open metrics file " +
-                               options_.metrics_path);
+                               options_.metrics_path + ": " + result.message);
     }
   }
 
@@ -169,7 +182,10 @@ void QueryServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (metrics_.is_open()) metrics_.close();
+  if (metrics_ != nullptr) {
+    static_cast<void>(metrics_->close());
+    metrics_.reset();
+  }
 }
 
 void QueryServer::acceptor_main() {
@@ -563,7 +579,7 @@ void QueryServer::probe_main() {
     }
     gate_.set_limit(decision.concurrency);
     windows_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.is_open()) write_metrics_line(qps, decision, done);
+    if (metrics_ != nullptr) write_metrics_line(qps, decision, done);
   }
 }
 
@@ -574,14 +590,23 @@ void QueryServer::write_metrics_line(double qps, const ProbeDecision& decision,
     util::MutexLock lock(probe_mu_);
     smoothed = probe_.smoothed_qps();
   }
-  metrics_ << "{\"window\":" << windows_.load(std::memory_order_relaxed)
-           << ",\"qps\":" << compact(qps)
-           << ",\"smoothed_qps\":" << compact(smoothed)
-           << ",\"concurrency\":" << decision.concurrency << ",\"state\":\""
-           << probe_state_name(decision.state)
-           << "\",\"in_use\":" << gate_.in_use()
-           << ",\"completed\":" << completed << "}\n";
-  metrics_.flush();
+  std::ostringstream line;
+  line << "{\"window\":" << windows_.load(std::memory_order_relaxed)
+       << ",\"qps\":" << compact(qps)
+       << ",\"smoothed_qps\":" << compact(smoothed)
+       << ",\"concurrency\":" << decision.concurrency << ",\"state\":\""
+       << probe_state_name(decision.state)
+       << "\",\"in_use\":" << gate_.in_use()
+       << ",\"completed\":" << completed << "}\n";
+  util::IoResult result = metrics_->append(line.str());
+  if (result.ok()) result = metrics_->flush();
+  if (!result.ok()) {
+    // Metrics are a side channel: a failed write stops them (one stderr
+    // line says why) and never touches query serving.
+    std::cerr << "serve: metrics disabled: " << result.message << "\n";
+    static_cast<void>(metrics_->close());
+    metrics_.reset();
+  }
 }
 
 }  // namespace mergescale::serve

@@ -18,7 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +30,7 @@
 #include "serve/probe.hpp"
 #include "serve/protocol.hpp"
 #include "serve/ticket_gate.hpp"
+#include "util/io_env.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -175,10 +176,9 @@ class QueryServer {
   util::Mutex live_mu_;
   std::atomic<std::uint64_t> live_used_{0};
   std::atomic<std::size_t> next_index_{0};
-  /// Sticky archive-only mode: set when a run-log append throws.  The
-  /// log's own errors are sticky too (a dead writer thread / full
-  /// disk), so there is nothing to probe for recovery — degradation
-  /// lasts until restart.
+  /// Sticky archive-only mode: set when a run-log append throws (a full
+  /// or failing disk), so there is nothing to probe for recovery —
+  /// degradation lasts until restart.
   std::atomic<bool> degraded_{false};
   std::atomic<std::uint64_t> shed_busy_{0};
   std::atomic<std::uint64_t> shed_degraded_{0};
@@ -196,7 +196,10 @@ class QueryServer {
   std::thread prober_;
   util::Mutex stop_mu_;
   util::CondVar stop_cv_;  ///< wakes the probe thread early
-  std::ofstream metrics_;
+  /// The --metrics stream (null when off, or after a failed write).
+  /// Opened in start(), written only by the probe thread, closed in
+  /// stop() after that thread is joined.
+  std::unique_ptr<util::WritableFile> metrics_;
 
   /// Session registry: fds are shut down at stop() to unblock recv(),
   /// then every thread is joined — stop() moves the thread list out

@@ -3,8 +3,7 @@
 // named fail points, then replays recovery and checks the documented
 // contract — what load() returns is a PREFIX of what was appended
 // (never a fabricated or reordered record), and the loss is bounded by
-// the documented crash window: one flush group in sync mode, the
-// in-flight plus filling groups in async mode.
+// the documented crash window: the one flush group still filling.
 
 #include <filesystem>
 #include <string>
@@ -38,13 +37,11 @@ class CrashConsistencyTest : public ::testing::TestWithParam<LogFormat> {
 
   static LogFormat format() { return GetParam(); }
 
-  static RunLogOptions options(std::size_t flush_every, bool fsync,
-                               bool async = false) {
+  static RunLogOptions options(std::size_t flush_every, bool fsync) {
     RunLogOptions opts;
     opts.format = format();
     opts.flush_every = flush_every;
     opts.fsync = fsync;
-    opts.async = async;
     return opts;
   }
 
@@ -216,42 +213,20 @@ TEST_P(CrashConsistencyTest, ShortWriteTearsExactlyOneRecord) {
   EXPECT_EQ(repaired.size(), 3u);
 }
 
-TEST_P(CrashConsistencyTest, AsyncFlushIsADurabilityBarrier) {
+TEST_P(CrashConsistencyTest, FlushIsADurabilityBarrier) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(10);
   {
-    RunLog log(dir_, options(/*flush_every=*/4, /*fsync=*/true,
-                             /*async=*/true));
+    RunLog log(dir_, options(/*flush_every=*/4, /*fsync=*/true));
     for (const auto& record : records) log.append(record);
-    log.flush();  // drains the writer and fsyncs — a real barrier
+    log.flush();  // writes and fsyncs the partial group — a real barrier
     faulty.lose_power();
   }
   faulty.reset_power();
   const auto loaded = RunLog::load(dir_);
   expect_prefix(loaded, records);
   EXPECT_EQ(loaded.size(), records.size());  // zero loss behind the barrier
-}
-
-TEST_P(CrashConsistencyTest, AsyncPowerLossLosesAtMostTheDocumentedWindow) {
-  util::FaultyIoEnv faulty;
-  util::ScopedIoEnv scope(&faulty);
-  constexpr std::size_t kFlushEvery = 2;
-  const auto records = make_records(12);
-  {
-    RunLog log(dir_, options(kFlushEvery, /*fsync=*/true, /*async=*/true));
-    for (const auto& record : records) log.append(record);
-    faulty.lose_power();
-    // Destruction races the dead disk; it must not fabricate records.
-  }
-  faulty.reset_power();
-  const auto loaded = RunLog::load(dir_);
-  expect_prefix(loaded, records);
-  // Window: one group queued/being written (in flight), one group
-  // filling.  By the time append #12 returned, every earlier group had
-  // cleared the depth-one queue, so at most 2 * flush_every records
-  // (in-flight + filling) can be lost.
-  EXPECT_GE(loaded.size(), records.size() - 2 * kFlushEvery);
 }
 
 TEST_P(CrashConsistencyTest, EnospcMidCompactLeavesOriginalLoadable) {

@@ -286,73 +286,6 @@ TEST_F(RunLogTest, ReadMetaDistinguishesMissingFromCorrupt) {
   EXPECT_EQ(*read, "config");
 }
 
-TEST_F(RunLogTest, AsyncWriterMatchesTheSyncLogByteForByte) {
-  // The writer thread is a scheduling change, not a format change: the
-  // same records through the same flush grouping must produce identical
-  // files in both formats.
-  explore::ExploreEngine engine;
-  const auto results = engine.run(sample_spec());
-  for (const LogFormat format : {LogFormat::kNdjson, LogFormat::kBinary}) {
-    const std::string sync_dir = dir_ + "_sync";
-    const std::string async_dir = dir_ + "_async";
-    {
-      RunLog sync_log(sync_dir, {format, 16});
-      RunLogOptions async_options{format, 16};
-      async_options.async = true;
-      RunLog async_log(async_dir, async_options);
-      for (const auto& result : results) {
-        sync_log.append(result);
-        async_log.append(result);
-      }
-      EXPECT_EQ(async_log.appended(), results.size());
-    }
-    const auto path = [&](const std::string& dir) {
-      return format == LogFormat::kBinary ? RunLog::binary_results_path(dir)
-                                          : RunLog::results_path(dir);
-    };
-    std::ifstream sync_in(path(sync_dir), std::ios::binary);
-    std::ifstream async_in(path(async_dir), std::ios::binary);
-    const std::string sync_bytes((std::istreambuf_iterator<char>(sync_in)),
-                                 std::istreambuf_iterator<char>());
-    const std::string async_bytes((std::istreambuf_iterator<char>(async_in)),
-                                  std::istreambuf_iterator<char>());
-    EXPECT_FALSE(async_bytes.empty());
-    EXPECT_EQ(async_bytes, sync_bytes);
-    std::filesystem::remove_all(sync_dir);
-    std::filesystem::remove_all(async_dir);
-  }
-}
-
-TEST_F(RunLogTest, AsyncFlushDrainsTheWriterThread) {
-  explore::ExploreEngine engine;
-  const auto results = engine.run(sample_spec());
-  RunLogOptions options{LogFormat::kBinary, 1024};  // group never fills
-  options.async = true;
-  RunLog log(dir_, options);
-  for (const auto& result : results) log.append(result);
-  // Nothing guaranteed on disk yet (the group is still filling) — but
-  // after flush() every appended record must be loadable: flush is the
-  // checkpoint barrier run_search relies on.
-  log.flush();
-  EXPECT_EQ(RunLog::load(dir_).size(), results.size());
-}
-
-TEST_F(RunLogTest, AsyncMoveAppendKeepsRecordsIntact) {
-  explore::ExploreEngine engine;
-  const auto results = engine.run(sample_spec());
-  {
-    RunLogOptions options{LogFormat::kNdjson, 4};
-    options.async = true;
-    RunLog log(dir_, options);
-    for (auto result : results) log.append(std::move(result));
-  }
-  const auto loaded = RunLog::load(dir_);
-  ASSERT_EQ(loaded.size(), results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    expect_equal(loaded[i], results[i]);
-  }
-}
-
 TEST_F(RunLogTest, CompactOnAnEmptyOrHeaderOnlyLogIsANoOp) {
   // Never-recorded directory: no error, no fabricated files.
   auto stats = RunLog::compact(dir_, LogFormat::kBinary);

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "core/app_params.hpp"
 #include "explore/report.hpp"
+#include "noc/topology.hpp"
 #include "util/rng.hpp"
 
 namespace mergescale::search {
@@ -194,6 +197,52 @@ TEST(Strategy, ProposalsCountOnlyInBoundsPoints) {
       static_cast<std::uint64_t>(outcome.trace.size()) - 1;
   EXPECT_LT(outcome.proposals, rounds * options.batch);
   EXPECT_GE(outcome.proposals, outcome.evaluations);
+}
+
+TEST(Strategy, AnnealLogsSpaceIndicesThatEncodeEachRecordsCoordinates) {
+  // Regression: adaptive runs used to log each record's position inside
+  // its batch, so an 8-walker anneal numbered every record 0..7 and
+  // report ties broke by input order.  Each logged record must carry
+  // the flat grid index of the point that produced it.  Two topologies
+  // are inert for the non-comm variants, so the walkers propose
+  // same-key twins that must not share or swap indices either.
+  explore::ScenarioSpec spec = sample_spec();
+  spec.topologies = {noc::Topology::kMesh2D, noc::Topology::kBus};
+  const SearchSpace space(spec);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("mergescale_strategy_indices_" +
+        std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    explore::ExploreEngine engine;
+    RunLog log(dir, {LogFormat::kBinary, 64});
+    SearchOptions options;
+    options.strategy = Strategy::kAnneal;
+    options.walkers = 8;
+    options.budget = 60;
+    options.seed = 5;
+    run_search(engine, space, options, &log);
+  }
+  const std::vector<explore::EvalResult> records = RunLog::load(dir);
+  std::filesystem::remove_all(dir);
+  ASSERT_GT(records.size(), 8u);
+
+  std::set<std::size_t> seen;
+  for (const explore::EvalResult& record : records) {
+    EXPECT_TRUE(seen.insert(record.index).second) << record.index;
+    ASSERT_LT(record.index, space.size());
+    explore::EvalJob job;
+    ASSERT_TRUE(space.job_at(space.decode(record.index), &job));
+    EXPECT_EQ(job.request.variant, record.variant) << record.index;
+    EXPECT_EQ(job.request.chip.n, record.n) << record.index;
+    EXPECT_EQ(job.request.app.name, record.app) << record.index;
+    EXPECT_EQ(job.request.growth.name(), record.growth) << record.index;
+    EXPECT_EQ(job.topology, record.topology) << record.index;
+    EXPECT_EQ(job.request.r, record.r) << record.index;
+    EXPECT_EQ(job.request.rl, record.rl) << record.index;
+  }
 }
 
 TEST(Strategy, ParetoArchiveMatchesTheExhaustiveFrontier) {

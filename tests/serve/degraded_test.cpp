@@ -3,10 +3,12 @@
 // queries, counts what it shed, and shuts down cleanly — it never
 // serves an answer it could not make durable.
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,13 +67,13 @@ class DegradedTest : public ::testing::Test {
     std::unique_ptr<QueryServer> server;
   };
 
-  std::unique_ptr<Harness> serve(std::uint64_t live_budget = 100) {
+  std::unique_ptr<Harness> serve(std::uint64_t live_budget = 100,
+                                 ServerOptions options = {}) {
     auto harness = std::make_unique<Harness>();
     harness->archive = load_archive(dir_);
     search::RunLog::warm(harness->archive.records, harness->archive.spec,
                          harness->engine);
     harness->log = std::make_unique<search::RunLog>(dir_);
-    ServerOptions options;
     options.live_budget = live_budget;
     harness->server = std::make_unique<QueryServer>(
         harness->archive, harness->engine, harness->log.get(), options);
@@ -159,6 +161,69 @@ TEST_F(DegradedTest, DegradedServerStartsAndStopsCleanly) {
   EXPECT_EQ(harness->server->execute_line("best").rfind("OK ", 0), 0u);
   harness->server->stop();  // clean shutdown while degraded
   EXPECT_TRUE(harness->server->degraded());
+}
+
+TEST_F(DegradedTest, PortFileNamesTheBoundPort) {
+  ServerOptions options;
+  options.port_file = dir_ + "/serve.port";
+  auto harness = serve(100, options);
+  harness->server->start();
+  std::string bytes;
+  ASSERT_TRUE(util::io_env().read_file(options.port_file, &bytes).ok());
+  EXPECT_EQ(bytes, std::to_string(harness->server->port()) + "\n");
+  EXPECT_FALSE(std::filesystem::exists(options.port_file + ".tmp"));
+  harness->server->stop();
+}
+
+TEST_F(DegradedTest, FailedPortFileRenameFailsStartAndLeavesNoPortFile) {
+  util::FaultyIoEnv faulty;
+  util::ScopedIoEnv scope(&faulty);
+  ServerOptions options;
+  options.port_file = dir_ + "/serve.port";
+  auto harness = serve(100, options);
+  util::FailPoints::instance().arm("io.rename", "always@serve.port");
+  // A script polling the port file must never find one naming a server
+  // that failed to start — nor a half-published temp file.
+  EXPECT_THROW(harness->server->start(), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(options.port_file));
+  EXPECT_FALSE(std::filesystem::exists(options.port_file + ".tmp"));
+}
+
+TEST_F(DegradedTest, MetricsStreamGoesThroughTheEnv) {
+  util::FaultyIoEnv faulty;
+  util::ScopedIoEnv scope(&faulty);
+  ServerOptions options;
+  options.metrics_path = dir_ + "/metrics.ndjson";
+  {
+    auto harness = serve(100, options);
+    util::FailPoints::instance().arm("io.open", "always@metrics.ndjson");
+    EXPECT_THROW(harness->server->start(), std::runtime_error);
+    util::FailPoints::instance().disarm_all();
+  }
+  EXPECT_FALSE(std::filesystem::exists(options.metrics_path));
+
+  // A metrics write that fails stops the metrics stream, never serving.
+  options.probe_window = std::chrono::milliseconds(5);
+  auto harness = serve(100, options);
+  harness->server->start();
+  util::FailPoints& points = util::FailPoints::instance();
+  points.arm("io.write", "always@metrics.ndjson");
+  // Busy windows write metrics lines; idle ones are skipped.
+  auto answer_for = [&harness](int iterations, auto done) {
+    for (int i = 0; i < iterations && !done(); ++i) {
+      const std::string answer = harness->server->execute_line("best");
+      ASSERT_EQ(answer.rfind("OK ", 0), 0u) << answer;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  answer_for(5000, [&points] { return points.fires("io.write") > 0; });
+  ASSERT_EQ(points.fires("io.write"), 1u);
+  answer_for(50, [] { return false; });
+  harness->server->stop();
+  EXPECT_EQ(points.fires("io.write"), 1u);  // the stream stayed off
+  std::string bytes;
+  ASSERT_TRUE(util::io_env().read_file(options.metrics_path, &bytes).ok());
+  EXPECT_TRUE(bytes.empty()) << bytes;
 }
 
 }  // namespace

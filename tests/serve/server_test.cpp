@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -12,6 +13,8 @@
 #include "explore/report.hpp"
 #include "search/archive.hpp"
 #include "search/run_log.hpp"
+#include "search/space.hpp"
+#include "search/strategy.hpp"
 #include "serve/archive.hpp"
 
 namespace mergescale::serve {
@@ -344,6 +347,70 @@ TEST_F(ServerTest, LiveEvalsFoldIntoArchiveBackedAnswers) {
   EXPECT_EQ(restarted->archive.records.size(), records.size() + 1);
   EXPECT_EQ(restarted->server->execute_line("topk 5"), topk_after);
   EXPECT_EQ(restarted->server->execute_line("best"), best_after);
+}
+
+TEST_F(ServerTest, AnnealArchiveAnswersMatchTheInProcessRendering) {
+  // An adaptive run logs in proposal order, not index order, and its
+  // space has exact speedup ties (a symmetric core of size r and an
+  // asymmetric chip of r-sized cores).  The archive re-sorts by index,
+  // so its answers match the in-process rendering of the logged records
+  // only when every record carries its own distinct grid index.
+  constexpr const char* kAnnealConfig =
+      "apps=kmeans,hop;budgets=64,128;growths=linear;"
+      "variants=symmetric,asymmetric;topologies=mesh,bus;small-cores=1,4;"
+      "sizes=1,2,4,8,16,32;comp-share=0.5;f=0.9;fcon=0.01;fored=0.01;"
+      "strategy=anneal;walkers=8";
+  const search::SearchSpace space(spec_from_run_config(kAnnealConfig));
+  search::RunLog::write_meta(dir_, kAnnealConfig);
+  {
+    explore::ExploreEngine engine;
+    search::RunLog log(dir_, {search::LogFormat::kBinary, 64});
+    search::SearchOptions options;
+    options.strategy = search::Strategy::kAnneal;
+    options.walkers = 8;
+    options.budget = 80;
+    options.seed = 3;
+    search::run_search(engine, space, options, &log);
+  }
+  const std::vector<explore::EvalResult> records =
+      search::RunLog::load(dir_);
+  ASSERT_GT(records.size(), 8u);
+  search::write_archive(search::RunLog::archive_path(dir_),
+                        search::RunLog::dedup(records));
+  std::filesystem::remove(search::RunLog::binary_results_path(dir_));
+
+  auto harness = serve();
+  ASSERT_EQ(harness->archive.archived, records.size());
+  const std::string topk =
+      explore::to_table(explore::top_k(records, 50))
+          .to_text("top-k designs by speedup");
+  EXPECT_EQ(harness->server->execute_line("topk 50"),
+            ok_header(QueryKind::kTopK, count_lines(topk)) + topk + "END\n");
+  for (const auto& [token, metric, title] :
+       {std::tuple{"pareto area", explore::CostMetric::kCoreArea,
+                   "Pareto frontier (speedup vs. core area)"},
+        std::tuple{"pareto cores", explore::CostMetric::kCoreCount,
+                   "Pareto frontier (speedup vs. core count)"}}) {
+    const std::string payload =
+        explore::to_table(explore::pareto_frontier(records, metric))
+            .to_text(title);
+    EXPECT_EQ(harness->server->execute_line(token),
+              ok_header(QueryKind::kPareto, count_lines(payload)) + payload +
+                  "END\n")
+        << token;
+  }
+
+  // A live eval is numbered after the largest recorded index, never
+  // onto an index the anneal already logged.
+  std::size_t end = 0;
+  for (const auto& record : records) end = std::max(end, record.index + 1);
+  const std::string reply = harness->server->execute_line(
+      "eval variant=asymmetric n=96 app=kmeans growth=linear r=2 rl=32");
+  ASSERT_NE(reply.find("source=live"), std::string::npos) << reply;
+  harness.reset();  // flush the live record into the run log
+  const std::vector<explore::EvalResult> after = search::RunLog::load(dir_);
+  ASSERT_EQ(after.size(), records.size() + 1);
+  EXPECT_EQ(after.back().index, end);
 }
 
 TEST_F(ServerTest, RunLogDedupKeepsFirstOccurrence) {

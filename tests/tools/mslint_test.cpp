@@ -93,15 +93,6 @@ TEST(MslintRules, RaiiGuardsPass) {
   EXPECT_TRUE(lint_file(fixture("bare_lock_good.cpp")).empty());
 }
 
-TEST(MslintRules, DeprecatedSweepFires) {
-  const auto got = lines_of(lint_file(fixture("deprecated_sweep_bad.cpp")));
-  const std::vector<std::pair<int, std::string>> want = {
-      {13, "deprecated-sweep"},
-      {14, "deprecated-sweep"},
-  };
-  EXPECT_EQ(got, want);
-}
-
 TEST(MslintRules, AllowSuppressesNamedRulesOnly) {
   const auto got = lines_of(lint_file(fixture("suppressions.cpp")));
   // allow(bare-lock), allow(hot-alloc, hot-string), and the
@@ -120,7 +111,7 @@ TEST(MslintRules, RawIoFires) {
   const std::vector<std::pair<int, std::string>> want = {
       {11, "raw-io"}, {13, "raw-io"}, {14, "raw-io"}, {19, "raw-io"},
       {20, "raw-io"}, {21, "raw-io"}, {23, "raw-io"}, {24, "raw-io"},
-      {41, "raw-io"}, {42, "raw-io"},
+      {41, "raw-io"}, {42, "raw-io"}, {46, "raw-io"}, {47, "raw-io"},
   };
   EXPECT_EQ(got, want);
 }
@@ -137,12 +128,39 @@ TEST(MslintRules, RawIoExemptsIoEnvCpp) {
 }
 
 TEST(MslintRules, QualifiedNamesAreNotRawIo) {
-  // std::filesystem::rename and member statics carry an identifier
+  // Member statics and other namespaces' functions carry an identifier
   // before the colons — only the global-namespace form is banned.
   const std::string source =
-      "#include <filesystem>\n"
-      "void f() { std::filesystem::rename(\"a\", \"b\"); File::open(1); }\n";
+      "void f() { File::open(1); Archive::rename(2); my::ofstream s; }\n";
   EXPECT_TRUE(lint_source("src/other.cpp", source).empty());
+}
+
+TEST(MslintRules, StdOfstreamIsRawIo) {
+  // Any use of the type counts: a local, a member, or a parameter.
+  const std::string source =
+      "#include <fstream>\n"
+      "struct S { std::ofstream metrics_; };\n"
+      "void f(const char* p) { std::ofstream out(p); }\n"
+      "void g(std::ifstream& in) {}\n";  // reading is not banned
+  const std::vector<std::pair<int, std::string>> want = {
+      {2, "raw-io"},
+      {3, "raw-io"},
+  };
+  EXPECT_EQ(lines_of(lint_source("src/other.cpp", source)), want);
+  EXPECT_TRUE(lint_source("src/util/io_env.cpp", source).empty());
+}
+
+TEST(MslintRules, StdFilesystemRenameIsRawIo) {
+  const std::string source =
+      "#include <filesystem>\n"
+      "void f() { std::filesystem::rename(\"a\", \"b\"); }\n"
+      "void g() { std::filesystem::rename (\"a\", \"b\"); }\n"
+      "auto h = &std::filesystem::exists;\n";
+  const std::vector<std::pair<int, std::string>> want = {
+      {2, "raw-io"},
+      {3, "raw-io"},
+  };
+  EXPECT_EQ(lines_of(lint_source("src/other.cpp", source)), want);
 }
 
 TEST(MslintScanner, StringsCommentsAndRawStringsDoNotFire) {
@@ -197,7 +215,7 @@ TEST(MslintCli, ListRulesCoversEveryRule) {
   for (const std::string& rule : mergescale::lint::rule_ids()) {
     EXPECT_FALSE(rule.empty());
   }
-  EXPECT_EQ(mergescale::lint::rule_ids().size(), 7u);
+  EXPECT_EQ(mergescale::lint::rule_ids().size(), 6u);
   EXPECT_EQ(run_mslint("--list-rules"), 0);
 }
 

@@ -359,9 +359,27 @@ struct Scanner {
                    "the env so faults stay injectable");
       }
     }
+    // Standard-library writers that bypass the env: an output file
+    // stream (any use of the type) and a filesystem rename call.
+    for (const char* fn : {"std::ofstream", "std::filesystem::rename"}) {
+      const std::string_view name = fn;
+      const bool call = name == "std::filesystem::rename";
+      for (std::size_t pos = code.find(name); pos != std::string_view::npos;
+           pos = code.find(name, pos + name.size())) {
+        if (!whole_word(code, pos, name.size())) continue;
+        if (call) {
+          const std::size_t after = skip_spaces(code, pos + name.size());
+          if (after == std::string_view::npos || code[after] != '(') continue;
+        }
+        report("raw-io",
+               std::string(name) +
+                   " bypasses util::IoEnv; file bytes must flow through "
+                   "the env so faults stay injectable");
+      }
+    }
     // Global-qualified POSIX file primitives.  Requiring the bare `::`
-    // form keeps qualified names out: std::filesystem::rename and
-    // member statics (File::open) have an identifier before the colons.
+    // form keeps qualified names out: member statics (File::open) and
+    // other namespaces' functions have an identifier before the colons.
     for (const char* fn :
          {"open", "creat", "write", "pwrite", "read", "pread", "fsync",
           "fdatasync", "ftruncate", "truncate", "rename", "unlink", "mmap",
@@ -381,32 +399,14 @@ struct Scanner {
       }
     }
   }
-
-  void deprecated_sweep() const {
-    const std::string_view code = line->code;
-    const std::string_view prefix = "sweep_";
-    for (std::size_t pos = code.find(prefix); pos != std::string_view::npos;
-         pos = code.find(prefix, pos + prefix.size())) {
-      if (pos > 0 && is_ident_char(code[pos - 1])) continue;
-      std::size_t end = pos + prefix.size();
-      while (end < code.size() && is_ident_char(code[end])) ++end;
-      if (end == pos + prefix.size()) continue;  // bare "sweep_"
-      const std::size_t after = skip_spaces(code, end);
-      if (after == std::string_view::npos || code[after] != '(') continue;
-      report("deprecated-sweep",
-             std::string(code.substr(pos, end - pos)) +
-                 " is deprecated; enumerate jobs through "
-                 "explore::make_eval_jobs / the batch API");
-    }
-  }
 };
 
 }  // namespace
 
 const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> kRules = {
-      "hot-alloc", "hot-string",       "hot-iostream", "raw-law-name",
-      "bare-lock", "deprecated-sweep", "raw-io",
+      "hot-alloc", "hot-string", "hot-iostream",
+      "raw-law-name", "bare-lock", "raw-io",
   };
   return kRules;
 }
@@ -441,7 +441,6 @@ std::vector<Finding> lint_source(std::string_view path,
     scanner.line = &line;
     scanner.lineno = static_cast<int>(i + 1);
     scanner.bare_lock();
-    scanner.deprecated_sweep();
     scanner.raw_io();
     if (hot) {
       scanner.hot_alloc();

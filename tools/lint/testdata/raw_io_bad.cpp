@@ -30,7 +30,7 @@ struct File {
 
 void qualified_ok(const char* path) {
   File::open(path);  // receiver-qualified: allowed
-  // std::filesystem::rename has an identifier before the colons too.
+  // Type::name() calls are never the global namespace.
 }
 
 void suppressed(const char* path) {
@@ -40,6 +40,11 @@ void suppressed(const char* path) {
 void mapping_calls(void* addr) {
   ::mmap(nullptr, 16, 3, 2, -1, 0);  // line 41: raw-io
   ::munmap(addr, 16);                // line 42: raw-io
+}
+
+void stream_calls(const char* path) {
+  std::ofstream out(path);                     // line 46: raw-io
+  std::filesystem::rename(path, "elsewhere");  // line 47: raw-io
 }
 
 }  // namespace fixture
