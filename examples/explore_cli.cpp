@@ -46,11 +46,11 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/app_params.hpp"
@@ -103,6 +103,23 @@ explore::CostMetric cost_metric_from(const std::string& name) {
   if (name == "cores") return explore::CostMetric::kCoreCount;
   throw std::invalid_argument("unknown cost metric: " + name +
                               " (expected area|cores)");
+}
+
+/// Writes one report file through util::IoEnv: a failed open, write,
+/// flush or close comes back as the result, so a full disk fails the run
+/// instead of leaving a truncated report behind.
+util::IoResult write_report(
+    const std::string& path,
+    void (*write)(std::ostream&, const std::vector<explore::EvalResult>&),
+    const std::vector<explore::EvalResult>& results) {
+  std::unique_ptr<util::WritableFile> file;
+  const util::IoResult opened =
+      util::io_env().new_writable(path, /*truncate=*/true, &file);
+  if (!opened.ok()) return opened;
+  util::WritableFileBuf buffer(std::move(file));
+  std::ostream out(&buffer);
+  write(out, results);
+  return buffer.finish();
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -724,11 +741,15 @@ int main(int argc, char** argv) try {
 
   // Persist the full result set.
   const std::string prefix = cli.get_string("out");
-  {
-    std::ofstream csv(prefix + ".csv");
-    explore::write_csv(csv, results);
-    std::ofstream ndjson(prefix + ".ndjson");
-    explore::write_ndjson(ndjson, results);
+  for (const auto& [path, write] :
+       {std::pair{prefix + ".csv", &explore::write_csv},
+        std::pair{prefix + ".ndjson", &explore::write_ndjson}}) {
+    const util::IoResult written = write_report(path, write, results);
+    if (!written.ok()) {
+      std::cerr << "explore_cli: cannot write " << path << ": "
+                << written.message << "\n";
+      return 1;
+    }
   }
   std::cout << "wrote " << prefix << ".csv and " << prefix << ".ndjson\n\n";
 

@@ -9,13 +9,11 @@
 //   eval variant=.. n=.. app=.. growth=.. r=.. [rl=..] [topology=..]
 //                             what-if point: archive hit or budgeted
 //                             live evaluation (appended to the run log)
-//   stats                     server + probe counters
+//   stats                     server, cache and live-eval counters
 //   quit                      close the connection
 //
-// Admitted concurrency is governed by a throughput probe: a background
-// controller perturbs the ticket limit between measurement windows and
-// keeps what observably improves completed-queries/s (see
-// src/serve/probe.hpp).  --metrics streams one NDJSON line per window.
+// Each connection gets its own session thread, which runs its queries
+// directly (no admission limit; see src/serve/server.hpp).
 //
 //   ./build/explore_cli --run-dir /tmp/run --variants asymmetric
 //   ./build/serve_cli --run-dir /tmp/run --port-file /tmp/run.port &
@@ -30,7 +28,6 @@
 #include <filesystem>
 #include <iostream>
 #include <sstream>
-#include <thread>
 
 #include "explore/engine.hpp"
 #include "search/run_log.hpp"
@@ -56,8 +53,7 @@ int main(int argc, char** argv) try {
   util::Cli cli("serve_cli",
                 "query server over recorded exploration runs: load run-log "
                 "archives into the memo cache and answer best / topk / "
-                "pareto / eval / stats over a line protocol, with "
-                "throughput-probed admission control");
+                "pareto / eval / stats over a line protocol");
   cli.opt("run-dir", std::string(),
           "recorded run directory to serve (live evals append here)");
   cli.opt("merge-from", std::string(),
@@ -67,26 +63,10 @@ int main(int argc, char** argv) try {
           "TCP port on 127.0.0.1 (0 = ephemeral)");
   cli.opt("port-file", std::string(),
           "write the bound port here (atomically) for scripts");
-  cli.opt("metrics", std::string(),
-          "append one NDJSON probe-metrics line per window here");
   cli.opt("threads", static_cast<long long>(0),
           "engine worker threads (0 = hardware concurrency)");
   cli.opt("live-budget", static_cast<long long>(100000),
           "live evaluations the server may spend on eval misses");
-  cli.opt("probe-window-ms", static_cast<long long>(250),
-          "throughput measurement window");
-  cli.opt("min-concurrency", static_cast<long long>(1),
-          "probe floor for admitted concurrency");
-  cli.opt("max-concurrency", static_cast<long long>(0),
-          "probe ceiling (0 = 4x hardware concurrency)");
-  cli.opt("initial-concurrency", static_cast<long long>(2),
-          "admitted concurrency before the first probe window");
-  cli.opt("probe-step", 1.25, "probe step multiple (> 1)");
-  cli.opt("probe-smoothing", 0.5, "EWMA weight of the newest window");
-  cli.opt("probe-tolerance", 0.05,
-          "relative throughput change a probe must show");
-  cli.opt("probe-backoff", static_cast<long long>(4),
-          "stable windows between probe rounds");
   cli.opt("log-format", std::string("auto"),
           "append format for live evals: auto | ndjson | binary (auto "
           "follows the existing log)");
@@ -134,25 +114,6 @@ int main(int argc, char** argv) try {
   serve::ServerOptions options;
   options.port = static_cast<int>(cli.get_int("port"));
   options.port_file = cli.get_string("port-file");
-  options.metrics_path = cli.get_string("metrics");
-  options.initial_concurrency =
-      static_cast<int>(std::max<long long>(1, cli.get_int("initial-concurrency")));
-  options.probe.min_concurrency =
-      static_cast<int>(std::max<long long>(1, cli.get_int("min-concurrency")));
-  long long max_concurrency = cli.get_int("max-concurrency");
-  if (max_concurrency <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    max_concurrency = 4ll * (hw == 0 ? 1 : hw);
-  }
-  options.probe.max_concurrency = static_cast<int>(
-      std::max<long long>(options.probe.min_concurrency, max_concurrency));
-  options.probe.step_multiple = cli.get_double("probe-step");
-  options.probe.smoothing = cli.get_double("probe-smoothing");
-  options.probe.stable_tolerance = cli.get_double("probe-tolerance");
-  options.probe.stable_backoff =
-      static_cast<int>(std::max<long long>(0, cli.get_int("probe-backoff")));
-  options.probe_window = std::chrono::milliseconds(
-      std::max<long long>(10, cli.get_int("probe-window-ms")));
   options.live_budget = static_cast<std::uint64_t>(
       std::max<long long>(0, cli.get_int("live-budget")));
 
@@ -167,11 +128,7 @@ int main(int argc, char** argv) try {
   serve::QueryServer server(std::move(archive), engine, &log, options);
   server.start();
   std::cout << "serve: listening on 127.0.0.1:" << server.port()
-            << " (concurrency " << options.initial_concurrency << " in ["
-            << options.probe.min_concurrency << ", "
-            << options.probe.max_concurrency << "], window "
-            << options.probe_window.count() << " ms, live budget "
-            << options.live_budget << ")\n"
+            << " (live budget " << options.live_budget << ")\n"
             << std::flush;
 
   const double max_seconds = cli.get_double("max-seconds");
@@ -188,8 +145,7 @@ int main(int argc, char** argv) try {
 
   server.stop();
   std::cout << "serve: " << server.queries_answered() << " queries answered, "
-            << server.live_evals() << " live evaluations, "
-            << server.probe_windows() << " probe windows\n";
+            << server.live_evals() << " live evaluations\n";
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "serve_cli: " << e.what() << "\n";

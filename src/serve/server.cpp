@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <iostream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -70,11 +69,7 @@ QueryServer::QueryServer(Archive archive, explore::ExploreEngine& engine,
       // The record list moves into the query engine + delta pair; what
       // stays in archive_ (dir, config, spec) is immutable for the
       // server's life.
-      reader_(make_reader(archive_, &delta_)),
-      gate_(std::clamp(options_.initial_concurrency,
-                       options_.probe.min_concurrency,
-                       options_.probe.max_concurrency)),
-      probe_(options_.probe, options_.initial_concurrency) {
+      reader_(make_reader(archive_, &delta_)) {
   // Live evals are numbered after the largest recorded index, not after
   // the record count: an adaptive run's indices are sparse grid indices,
   // and a count-based number could collide with one of them.
@@ -136,27 +131,13 @@ void QueryServer::start() {
                                options_.port_file + ": " + result.message);
     }
   }
-  if (!options_.metrics_path.empty()) {
-    const util::IoResult result =
-        env.new_writable(options_.metrics_path, /*truncate=*/false, &metrics_);
-    if (!result.ok()) {
-      throw std::runtime_error("serve: cannot open metrics file " +
-                               options_.metrics_path + ": " + result.message);
-    }
-  }
 
   acceptor_ = std::thread(&QueryServer::acceptor_main, this);
-  prober_ = std::thread(&QueryServer::probe_main, this);
 }
 
 void QueryServer::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
-  {
-    util::MutexLock lock(stop_mu_);
-  }
-  stop_cv_.notify_all();
-  gate_.close();
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     util::MutexLock lock(sessions_mu_);
@@ -165,11 +146,10 @@ void QueryServer::stop() {
     }
   }
   if (acceptor_.joinable()) acceptor_.join();
-  if (prober_.joinable()) prober_.join();
   // The acceptor is gone, so the registry is final.  Move the thread
-  // list out under the lock, then join lock-free: a session's last act
-  // is to retake sessions_mu_ and clear its fd slot, so joining while
-  // holding the lock would deadlock against it.
+  // list out under the lock, then join lock-free: a running session
+  // still has to retake sessions_mu_ to clear its fd slot, so joining
+  // while holding the lock would deadlock against it.
   std::vector<std::thread> to_join;
   {
     util::MutexLock lock(sessions_mu_);
@@ -182,10 +162,11 @@ void QueryServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (metrics_ != nullptr) {
-    static_cast<void>(metrics_->close());
-    metrics_.reset();
-  }
+}
+
+std::size_t QueryServer::session_threads() const {
+  util::MutexLock lock(sessions_mu_);
+  return sessions_.size();
 }
 
 void QueryServer::acceptor_main() {
@@ -205,9 +186,20 @@ void QueryServer::acceptor_main() {
       break;
     }
     util::MutexLock lock(sessions_mu_);
-    const std::size_t slot = session_fds_.size();
-    session_fds_.push_back(fd);
-    sessions_.emplace_back(&QueryServer::session_main, this, fd, slot);
+    // Reuse a finished session's slot.  Its fd is -1 only after the
+    // session's last use of sessions_mu_ (it then only closes its fd),
+    // so joining its thread here cannot deadlock.
+    const std::size_t slot = static_cast<std::size_t>(
+        std::find(session_fds_.begin(), session_fds_.end(), -1) -
+        session_fds_.begin());
+    if (slot == session_fds_.size()) {
+      session_fds_.push_back(fd);
+      sessions_.emplace_back();
+    } else {
+      sessions_[slot].join();
+      session_fds_[slot] = fd;
+    }
+    sessions_[slot] = std::thread(&QueryServer::session_main, this, fd, slot);
   }
 }
 
@@ -263,9 +255,14 @@ void QueryServer::session_main(int fd, std::size_t slot) {
       buffer.clear();
     }
   }
+  // Clear the slot before closing: the peer sees EOF only after the
+  // slot is free, so a client that reconnects after EOF finds it
+  // reusable.  This is the session's last use of sessions_mu_.
+  {
+    util::MutexLock lock(sessions_mu_);
+    session_fds_[slot] = -1;
+  }
   ::close(fd);
-  util::MutexLock lock(sessions_mu_);
-  session_fds_[slot] = -1;
 }
 
 std::string QueryServer::execute_line(const std::string& line,
@@ -280,7 +277,7 @@ std::string QueryServer::execute_line(const std::string& line,
     reply = err_reply(error);
   } else if (query->kind == QueryKind::kQuit) {
     reply = ok_header(QueryKind::kQuit, 0) + "END\n";
-  } else if (!gate_.acquire()) {
+  } else if (stopping_.load()) {
     reply = err_reply("server is stopping");
   } else {
     try {
@@ -290,7 +287,6 @@ std::string QueryServer::execute_line(const std::string& line,
     } catch (...) {
       reply = err_reply("internal error");
     }
-    gate_.release();
   }
   completed_.fetch_add(1, std::memory_order_relaxed);
   return reply;
@@ -530,83 +526,10 @@ std::string QueryServer::answer_stats() {
      << "\n"
      << "shed_busy=" << shed_busy_.load(std::memory_order_relaxed) << "\n"
      << "shed_degraded=" << shed_degraded_.load(std::memory_order_relaxed)
-     << "\n"
-     << "concurrency_limit=" << gate_.limit() << "\n"
-     << "in_use=" << gate_.in_use() << "\n";
-  {
-    util::MutexLock lock(probe_mu_);
-    const auto& counters = probe_.counters();
-    os << "probe_state=" << probe_state_name(probe_.state()) << "\n"
-       << "stable_concurrency=" << probe_.stable_concurrency() << "\n"
-       << "smoothed_qps=" << compact(probe_.smoothed_qps()) << "\n"
-       << "probe_windows=" << counters.windows << "\n"
-       << "probes_up=" << counters.probes_up << "\n"
-       << "probes_down=" << counters.probes_down << "\n"
-       << "accepted_up=" << counters.accepted_up << "\n"
-       << "accepted_down=" << counters.accepted_down << "\n"
-       << "reverted=" << counters.reverted << "\n";
-  }
+     << "\n";
   const std::string payload = os.str();
   return ok_header(QueryKind::kStats, count_lines(payload)) + payload +
          "END\n";
-}
-
-void QueryServer::probe_main() {
-  std::uint64_t last = completed_.load(std::memory_order_relaxed);
-  const double seconds =
-      std::chrono::duration<double>(options_.probe_window).count();
-  for (;;) {
-    {
-      // The predicate reads only the stopping_ atomic, so the lambda is
-      // safe under thread-safety analysis (no guarded members touched).
-      util::MutexLock lock(stop_mu_);
-      if (stop_cv_.wait_for(lock, options_.probe_window,
-                            [this] { return stopping_.load(); })) {
-        break;
-      }
-    }
-    const std::uint64_t done = completed_.load(std::memory_order_relaxed);
-    const std::uint64_t delta = done - last;
-    last = done;
-    // Idle windows (nothing finished, nothing running) carry no signal —
-    // folding a 0 in would evict a perfectly good throughput estimate.
-    if (delta == 0 && gate_.in_use() == 0) continue;
-    const double qps = static_cast<double>(delta) / seconds;
-    ProbeDecision decision;
-    {
-      util::MutexLock lock(probe_mu_);
-      decision = probe_.on_window(qps);
-    }
-    gate_.set_limit(decision.concurrency);
-    windows_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) write_metrics_line(qps, decision, done);
-  }
-}
-
-void QueryServer::write_metrics_line(double qps, const ProbeDecision& decision,
-                                     std::uint64_t completed) {
-  double smoothed;
-  {
-    util::MutexLock lock(probe_mu_);
-    smoothed = probe_.smoothed_qps();
-  }
-  std::ostringstream line;
-  line << "{\"window\":" << windows_.load(std::memory_order_relaxed)
-       << ",\"qps\":" << compact(qps)
-       << ",\"smoothed_qps\":" << compact(smoothed)
-       << ",\"concurrency\":" << decision.concurrency << ",\"state\":\""
-       << probe_state_name(decision.state)
-       << "\",\"in_use\":" << gate_.in_use()
-       << ",\"completed\":" << completed << "}\n";
-  util::IoResult result = metrics_->append(line.str());
-  if (result.ok()) result = metrics_->flush();
-  if (!result.ok()) {
-    // Metrics are a side channel: a failed write stops them (one stderr
-    // line says why) and never touches query serving.
-    std::cerr << "serve: metrics disabled: " << result.message << "\n";
-    static_cast<void>(metrics_->close());
-    metrics_.reset();
-  }
 }
 
 }  // namespace mergescale::serve

@@ -8,17 +8,14 @@
 // appended to the run log so the next server start (or any explore_cli
 // --resume) inherits it.
 //
-// Concurrency is ticket-gated and *measured*, not configured: each
-// session thread takes one ticket around a query's execution, and a
-// background ThroughputProbe controller perturbs the admitted limit
-// between measurement windows, keeping what observably improves
-// completed-queries/s (serve/probe).  Decisions surface through the
-// `stats` query and an optional NDJSON metrics stream.
+// Concurrency: one thread per connection, and each session thread runs
+// its queries directly.  No admission gate sits in front of them —
+// measured on 4 cores, any limit below the client count only cost
+// throughput — so the only shared steps are the short archive_mu_ delta
+// copy and the live_mu_ live-eval step.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,10 +24,7 @@
 #include "search/archive.hpp"
 #include "search/run_log.hpp"
 #include "serve/archive.hpp"
-#include "serve/probe.hpp"
 #include "serve/protocol.hpp"
-#include "serve/ticket_gate.hpp"
-#include "util/io_env.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -43,13 +37,6 @@ struct ServerOptions {
   /// When non-empty, the bound port is written here (write + rename, so
   /// a polling client never reads a partial file).
   std::string port_file;
-  /// When non-empty, one NDJSON line per probe window is appended here.
-  std::string metrics_path;
-  /// Admitted concurrency before the first probe window completes.
-  int initial_concurrency = 2;
-  ProbeOptions probe;
-  /// Probe measurement window.
-  std::chrono::milliseconds probe_window{250};
   /// Live (cache-missing) `eval` evaluations this server may run; once
   /// spent, further misses get an ERR instead of compute time.
   std::uint64_t live_budget = 100000;
@@ -67,7 +54,7 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Binds, listens, and starts the acceptor + probe threads.  Throws
+  /// Binds, listens, and starts the acceptor thread.  Throws
   /// std::runtime_error when the socket cannot be set up.
   void start();
 
@@ -78,10 +65,11 @@ class QueryServer {
   /// Bound port (valid after start()).
   int port() const noexcept { return port_; }
 
-  /// Parses and executes one request line exactly as a session would —
-  /// ticket gate included — returning the full framed reply.  `kind_out`
-  /// (optional) reports the parsed query kind, kQuit included; callers
-  /// without a socket use this to drive the server in-process.
+  /// Parses and executes one request line exactly as a session would,
+  /// returning the full framed reply (`ERR server is stopping` for any
+  /// query but `quit` once stop() has begun).  `kind_out` (optional)
+  /// reports the parsed query kind, kQuit included; callers without a
+  /// socket use this to drive the server in-process.
   std::string execute_line(const std::string& line,
                            QueryKind* kind_out = nullptr);
 
@@ -89,15 +77,13 @@ class QueryServer {
   std::uint64_t queries_answered() const noexcept {
     return completed_.load(std::memory_order_relaxed);
   }
+  /// Session threads the server holds (running or finished but not yet
+  /// joined): bounded by the peak number of open connections, not by
+  /// the connections accepted over the server's life.
+  std::size_t session_threads() const MS_EXCLUDES(sessions_mu_);
   /// Live evaluations spent against ServerOptions::live_budget.
   std::uint64_t live_evals() const noexcept {
     return live_used_.load(std::memory_order_relaxed);
-  }
-  /// Current admitted-concurrency limit.
-  int concurrency_limit() const { return gate_.limit(); }
-  /// Probe windows folded so far.
-  std::uint64_t probe_windows() const noexcept {
-    return windows_.load(std::memory_order_relaxed);
   }
 
   /// True once a run-log append failed: the server keeps answering
@@ -124,7 +110,7 @@ class QueryServer {
   static search::ArchiveReader make_reader(
       Archive& archive, std::vector<explore::EvalResult>* delta);
 
-  /// Executes a parsed query (no gating) into a framed reply.
+  /// Executes a parsed query into a framed reply.
   std::string execute(const Query& query);
   std::string answer_best() const MS_EXCLUDES(archive_mu_);
   std::string answer_topk(std::size_t k) const MS_EXCLUDES(archive_mu_);
@@ -132,7 +118,7 @@ class QueryServer {
       MS_EXCLUDES(archive_mu_);
   std::string answer_eval(const Query& query)
       MS_EXCLUDES(live_mu_, archive_mu_);
-  std::string answer_stats() MS_EXCLUDES(archive_mu_, probe_mu_);
+  std::string answer_stats() MS_EXCLUDES(archive_mu_);
   /// Resolves eval coordinates against the archive's scenario into a
   /// job; throws std::invalid_argument with a client-facing message.
   /// Reads only the immutable archive fields — no lock needed.
@@ -140,9 +126,6 @@ class QueryServer {
 
   void acceptor_main() MS_EXCLUDES(sessions_mu_);
   void session_main(int fd, std::size_t slot) MS_EXCLUDES(sessions_mu_);
-  void probe_main() MS_EXCLUDES(probe_mu_);
-  void write_metrics_line(double qps, const ProbeDecision& decision,
-                          std::uint64_t completed) MS_EXCLUDES(probe_mu_);
 
   /// Immutable after construction (dir, config, spec — records are moved
   /// out into reader_/delta_, the fields queries touch): resolve_eval
@@ -183,32 +166,23 @@ class QueryServer {
   std::atomic<std::uint64_t> shed_busy_{0};
   std::atomic<std::uint64_t> shed_degraded_{0};
 
-  TicketGate gate_;
-  util::Mutex probe_mu_;  ///< guards probe_ (probe thread vs `stats`)
-  ThroughputProbe probe_ MS_GUARDED_BY(probe_mu_);
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> windows_{0};
 
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
-  std::thread prober_;
-  util::Mutex stop_mu_;
-  util::CondVar stop_cv_;  ///< wakes the probe thread early
-  /// The --metrics stream (null when off, or after a failed write).
-  /// Opened in start(), written only by the probe thread, closed in
-  /// stop() after that thread is joined.
-  std::unique_ptr<util::WritableFile> metrics_;
 
   /// Session registry: fds are shut down at stop() to unblock recv(),
   /// then every thread is joined — stop() moves the thread list out
-  /// under the lock and joins outside it (a session's last act is to
-  /// retake sessions_mu_ to clear its fd slot, so joining under the
-  /// lock would deadlock).  Slots are append-only (a serve process
-  /// hosts a bounded number of connections over its life; a closed
-  /// session marks its fd -1).
-  util::Mutex sessions_mu_;
+  /// under the lock and joins outside it (a running session has to
+  /// retake sessions_mu_ to clear its fd slot, so joining it under the
+  /// lock would deadlock).  A session clears its slot (fd -1) as its
+  /// last use of the lock, then closes its fd: the acceptor joins such a
+  /// thread under the lock and reuses the slot, so the registry grows
+  /// with the peak number of open connections, not with every
+  /// connection accepted.
+  mutable util::Mutex sessions_mu_;
   std::vector<int> session_fds_ MS_GUARDED_BY(sessions_mu_);
   std::vector<std::thread> sessions_ MS_GUARDED_BY(sessions_mu_);
 };

@@ -329,6 +329,38 @@ class EnvRandomAccessFile final : public RandomAccessFile {
 
 }  // namespace
 
+WritableFileBuf::WritableFileBuf(std::unique_ptr<WritableFile> file)
+    : file_(std::move(file)), buffer_(kBufferBytes, '\0') {
+  setp(buffer_.data(), buffer_.data() + buffer_.size());
+}
+
+bool WritableFileBuf::drain() {
+  if (!status_.ok()) return false;
+  const std::size_t pending = static_cast<std::size_t>(pptr() - pbase());
+  if (pending > 0) status_ = file_->append({pbase(), pending});
+  setp(buffer_.data(), buffer_.data() + buffer_.size());
+  return status_.ok();
+}
+
+WritableFileBuf::int_type WritableFileBuf::overflow(int_type ch) {
+  if (!drain()) return traits_type::eof();
+  if (traits_type::eq_int_type(ch, traits_type::eof())) {
+    return traits_type::not_eof(ch);
+  }
+  *pptr() = traits_type::to_char_type(ch);
+  pbump(1);
+  return ch;
+}
+
+IoResult WritableFileBuf::finish() {
+  drain();
+  IoResult flushed = file_->flush();
+  if (status_.ok()) status_ = std::move(flushed);
+  IoResult closed = file_->close();
+  if (status_.ok()) status_ = std::move(closed);
+  return status_;
+}
+
 IoResult IoEnv::new_random_access(const std::string& path,
                                   std::unique_ptr<RandomAccessFile>* out) {
   std::uint64_t size = 0;

@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -61,6 +62,34 @@ class WritableFile {
   [[nodiscard]] virtual IoResult flush() = 0;
   [[nodiscard]] virtual IoResult sync() = 0;
   [[nodiscard]] virtual IoResult close() = 0;
+};
+
+/// A std::streambuf over a WritableFile, so std::ostream writers (the
+/// report's write_csv/write_ndjson) reach disk through the env.  Bytes
+/// collect in a kBufferBytes buffer that goes to append() only when
+/// full or at finish() — never per row, and never the whole output at
+/// once.  The first failed IoResult is kept; every later write then
+/// fails, so the ostream goes bad.
+class WritableFileBuf : public std::streambuf {
+ public:
+  static constexpr std::size_t kBufferBytes = 64 * 1024;
+
+  explicit WritableFileBuf(std::unique_ptr<WritableFile> file);
+
+  /// Appends what is buffered, then flushes and closes the file.
+  /// Returns the first failure of any write, flush or close.  Bytes
+  /// still buffered when the object dies without finish() are lost.
+  [[nodiscard]] IoResult finish();
+
+ protected:
+  int_type overflow(int_type ch) override;
+
+ private:
+  bool drain();
+
+  std::unique_ptr<WritableFile> file_;
+  std::string buffer_;
+  IoResult status_;
 };
 
 /// A read-only file handle with positioned reads — what the columnar

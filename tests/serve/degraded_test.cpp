@@ -3,12 +3,10 @@
 // queries, counts what it shed, and shuts down cleanly — it never
 // serves an answer it could not make durable.
 
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -187,43 +185,6 @@ TEST_F(DegradedTest, FailedPortFileRenameFailsStartAndLeavesNoPortFile) {
   EXPECT_THROW(harness->server->start(), std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(options.port_file));
   EXPECT_FALSE(std::filesystem::exists(options.port_file + ".tmp"));
-}
-
-TEST_F(DegradedTest, MetricsStreamGoesThroughTheEnv) {
-  util::FaultyIoEnv faulty;
-  util::ScopedIoEnv scope(&faulty);
-  ServerOptions options;
-  options.metrics_path = dir_ + "/metrics.ndjson";
-  {
-    auto harness = serve(100, options);
-    util::FailPoints::instance().arm("io.open", "always@metrics.ndjson");
-    EXPECT_THROW(harness->server->start(), std::runtime_error);
-    util::FailPoints::instance().disarm_all();
-  }
-  EXPECT_FALSE(std::filesystem::exists(options.metrics_path));
-
-  // A metrics write that fails stops the metrics stream, never serving.
-  options.probe_window = std::chrono::milliseconds(5);
-  auto harness = serve(100, options);
-  harness->server->start();
-  util::FailPoints& points = util::FailPoints::instance();
-  points.arm("io.write", "always@metrics.ndjson");
-  // Busy windows write metrics lines; idle ones are skipped.
-  auto answer_for = [&harness](int iterations, auto done) {
-    for (int i = 0; i < iterations && !done(); ++i) {
-      const std::string answer = harness->server->execute_line("best");
-      ASSERT_EQ(answer.rfind("OK ", 0), 0u) << answer;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  answer_for(5000, [&points] { return points.fires("io.write") > 0; });
-  ASSERT_EQ(points.fires("io.write"), 1u);
-  answer_for(50, [] { return false; });
-  harness->server->stop();
-  EXPECT_EQ(points.fires("io.write"), 1u);  // the stream stayed off
-  std::string bytes;
-  ASSERT_TRUE(util::io_env().read_file(options.metrics_path, &bytes).ok());
-  EXPECT_TRUE(bytes.empty()) << bytes;
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -58,7 +62,7 @@ class ServerTest : public ::testing::Test {
   /// An in-process server over the recorded directory: archive loaded
   /// through the real startup path, cache warmed, live appends going
   /// back to the same run log.  Not start()ed — execute_line drives the
-  /// full query path (gate included) without sockets.
+  /// full query path without sockets.
   struct Harness {
     Archive archive;
     explore::ExploreEngine engine;
@@ -244,11 +248,52 @@ TEST_F(ServerTest, QuitAndStatsAreFramedReplies) {
   const std::string stats = harness->server->execute_line("stats");
   EXPECT_EQ(stats.rfind("OK stats", 0), 0u);
   for (const char* key :
-       {"archive_records=", "cache_entries=", "queries=", "live_budget=",
-        "concurrency_limit=", "probe_state=stable", "stable_concurrency=",
-        "probe_windows="}) {
+       {"archive_records=", "cache_entries=", "queries=", "live_budget="}) {
     EXPECT_NE(stats.find(key), std::string::npos) << key << "\n" << stats;
   }
+}
+
+TEST_F(ServerTest, ExecuteLineAfterStopRefusesQueries) {
+  record();
+  auto harness = serve();
+  harness->server->stop();
+  EXPECT_EQ(harness->server->execute_line("best"),
+            "ERR server is stopping\n");
+  // quit needs no server state, so it is still framed normally.
+  EXPECT_EQ(harness->server->execute_line("quit"), "OK quit lines=0\nEND\n");
+}
+
+TEST_F(ServerTest, FinishedSessionThreadsAreReaped) {
+  record();
+  auto harness = serve();
+  harness->server->start();
+  for (int round = 0; round < 200; ++round) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(harness->server->port()));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    const std::string request = "stats\nquit\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    // Read to EOF: the server closes its end once it has answered quit.
+    std::string reply;
+    char chunk[4096];
+    for (ssize_t got; (got = ::recv(fd, chunk, sizeof(chunk), 0)) > 0;) {
+      reply.append(chunk, static_cast<std::size_t>(got));
+    }
+    ::close(fd);
+    ASSERT_EQ(reply.rfind("OK stats", 0), 0u) << reply;
+  }
+  // One connection is open at a time, and a session frees its slot
+  // before the client sees EOF, so finished sessions are joined and
+  // their slots reused instead of one thread piling up per connection.
+  EXPECT_LE(harness->server->session_threads(), 2u);
+  harness->server->stop();
 }
 
 TEST_F(ServerTest, ServesWithoutALogButCannotPersist) {

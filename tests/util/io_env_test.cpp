@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -273,6 +274,64 @@ TEST_F(IoEnvTest, RenameMovesTheTrace) {
   const auto trace = faulty.trace(path("to.txt"));
   ASSERT_TRUE(trace.has_value());
   EXPECT_EQ(trace->written, 3u);
+}
+
+/// Records each append() size; the append numbered `fail_at` (1-based)
+/// fails.
+class RecordingFile final : public WritableFile {
+ public:
+  RecordingFile(std::vector<std::size_t>* sizes, std::string* bytes,
+                std::size_t fail_at)
+      : sizes_(sizes), bytes_(bytes), fail_at_(fail_at) {}
+
+  IoResult append(std::string_view data) override {
+    sizes_->push_back(data.size());
+    if (sizes_->size() == fail_at_) return IoResult::failure("disk full");
+    bytes_->append(data);
+    return IoResult::success();
+  }
+  IoResult flush() override { return IoResult::success(); }
+  IoResult sync() override { return IoResult::success(); }
+  IoResult close() override { return IoResult::success(); }
+
+ private:
+  std::vector<std::size_t>* sizes_;
+  std::string* bytes_;
+  std::size_t fail_at_;
+};
+
+TEST(WritableFileBuf, AppendsWholeBuffersAndTheTailAtFinish) {
+  std::vector<std::size_t> sizes;
+  std::string bytes;
+  WritableFileBuf buffer(
+      std::make_unique<RecordingFile>(&sizes, &bytes, /*fail_at=*/0));
+  std::ostream out(&buffer);
+  std::string expected;
+  for (int row = 0; row < 20000; ++row) {
+    const std::string line = "row " + std::to_string(row) + "\n";
+    out << line;
+    expected += line;
+  }
+  ASSERT_TRUE(buffer.finish().ok());
+  EXPECT_EQ(bytes, expected);
+  ASSERT_EQ(sizes.size(), expected.size() / WritableFileBuf::kBufferBytes + 1);
+  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
+    EXPECT_EQ(sizes[i], WritableFileBuf::kBufferBytes);
+  }
+}
+
+TEST(WritableFileBuf, KeepsTheFirstFailureAndStopsWriting) {
+  std::vector<std::size_t> sizes;
+  std::string bytes;
+  WritableFileBuf buffer(
+      std::make_unique<RecordingFile>(&sizes, &bytes, /*fail_at=*/1));
+  std::ostream out(&buffer);
+  for (int row = 0; row < 40000; ++row) out << "row " << row << "\n";
+  EXPECT_TRUE(out.bad());
+  const IoResult result = buffer.finish();
+  EXPECT_EQ(result.message, "disk full");
+  EXPECT_EQ(sizes.size(), 1u);  // nothing after the failed append
+  EXPECT_TRUE(bytes.empty());
 }
 
 }  // namespace
